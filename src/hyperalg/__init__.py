@@ -25,7 +25,6 @@ from hyperalg.core import (
     Hypergroup,
     HypergroupError,
     bits,
-    is_group_check,
     mask_of,
     members,
     validate,
@@ -80,8 +79,7 @@ __all__ = [
     "builtin_groups", "canonical_representatives", "center", "centralizer",
     "closed_center", "closed_center_series", "commutator_elements",
     "commutator_subset", "double_coset", "enumerate_hypergroups", "from_group",
-    "generated_closure", "inv_hypercenter", "is_closed", "is_group_check",
-    "is_nilpotent", "is_normal", "is_solvable", "is_strongly_normal",
+    "generated_closure", "inv_hypercenter", "is_closed", "is_nilpotent", "is_normal", "is_solvable", "is_strongly_normal",
     "lift_blocks", "lower_central_series", "mask_of", "maximal_closed_subsets",
     "members", "naive_enumerate", "project_subset", "quotient_is_thin",
     "render_machine", "render_text", "rt_analysis", "run_harness",

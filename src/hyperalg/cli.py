@@ -58,10 +58,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_quotient(args) -> int:
     name, h = parse(_read(args.file))
-    kernel = mask_of(args.kernel)
-    if kernel >> h.order:
+    if any(i >= h.order for i in args.kernel):
         raise NotClosed(f"kernel indices exceed order {h.order}")
-    q = build_quotient(h, kernel)
+    q = build_quotient(h, mask_of(args.kernel))
     label = f"{name}_mod_" + "-".join(str(i) for i in args.kernel)
     sys.stdout.write(serialize(q.induced, name=label))
     return 0

@@ -9,9 +9,9 @@ larger one induces, because the chain definitions quantify there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from hyperalg.core import Hypergroup, bits, members, validate
+from hyperalg.core import Hypergroup, bits, members, memo, validate
 
 
 class EmptySet(Exception):
@@ -29,6 +29,7 @@ def is_closed(h: Hypergroup, s: int) -> bool:
     return closed
 
 
+@memo
 def generated_closure(h: Hypergroup, seed: int) -> int:
     """Smallest closed subset containing the seed.
 
@@ -36,20 +37,16 @@ def generated_closure(h: Hypergroup, seed: int) -> int:
     """
     if seed == 0:
         raise EmptySet("cannot close an empty seed")
-    cache = h.__dict__.setdefault("_closure_cache", {})
-    got = cache.get(seed)
-    if got is not None:
-        return got
     cur = 1 | seed | h.set_star(seed)
     new = cur
     full = h.full
     while new and cur != full:
         new = (h.set_product(cur, new) | h.set_product(new, cur)) & ~cur
         cur |= new
-    cache[seed] = cur
     return cur
 
 
+@memo
 def sub_hypergroup(h: Hypergroup, f: int) -> tuple[Hypergroup, tuple[int, ...]]:
     """Restrict the table to a closed subset, reindexed 0..|F|-1 ascending.
 
@@ -59,10 +56,6 @@ def sub_hypergroup(h: Hypergroup, f: int) -> tuple[Hypergroup, tuple[int, ...]]:
     """
     if f == h.full:
         return h, tuple(h.elements())
-    cache = h.__dict__.setdefault("_sub_cache", {})
-    got = cache.get(f)
-    if got is not None:
-        return got
     elems = members(f)
     pos = {e: i for i, e in enumerate(elems)}
     table = []
@@ -72,9 +65,7 @@ def sub_hypergroup(h: Hypergroup, f: int) -> tuple[Hypergroup, tuple[int, ...]]:
             cell = h.table[a][b]
             row.append(sum(1 << pos[x] for x in bits(cell)))
         table.append(row)
-    sub = validate(len(elems), table)
-    cache[f] = (sub, elems)
-    return sub, elems
+    return validate(len(elems), table), elems
 
 
 def to_sub_mask(mask: int, elems: tuple[int, ...]) -> int:
@@ -163,41 +154,32 @@ class ClosedSubsetLattice:
 
     hypergroup: Hypergroup
     masks: tuple[int, ...]
-    _normal: dict = field(default_factory=dict, repr=False)
-    _strong: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._index
+        return mask in self._index()
 
-    @property
-    def _index(self) -> dict:
-        idx = self.__dict__.get("_index_map")
-        if idx is None:
-            idx = self.__dict__["_index_map"] = {m: i for i, m in enumerate(self.masks)}
-        return idx
+    @memo
+    def _index(self) -> frozenset[int]:
+        return frozenset(self.masks)
 
-    def supersets(self, f: int) -> list[int]:
-        return [m for m in self.masks if m != f and f & ~m == 0]
+    @memo
+    def supersets(self, f: int) -> tuple[int, ...]:
+        """Strict supersets of f in lattice order, scanned once per f."""
+        return tuple(m for m in self.masks if m != f and f & ~m == 0)
 
+    @memo
     def normal_in(self, f: int, k: int) -> bool:
         """Is f normal inside the sub-hypergroup on k (f strictly within k)?"""
-        key = (f, k)
-        got = self._normal.get(key)
-        if got is None:
-            sub, elems = sub_hypergroup(self.hypergroup, k)
-            got = self._normal[key] = is_normal(sub, to_sub_mask(f, elems))
-        return got
+        sub, elems = sub_hypergroup(self.hypergroup, k)
+        return is_normal(sub, to_sub_mask(f, elems))
 
+    @memo
     def strongly_normal_in(self, f: int, k: int) -> bool:
-        key = (f, k)
-        got = self._strong.get(key)
-        if got is None:
-            sub, elems = sub_hypergroup(self.hypergroup, k)
-            got = self._strong[key] = is_strongly_normal(sub, to_sub_mask(f, elems))
-        return got
+        sub, elems = sub_hypergroup(self.hypergroup, k)
+        return is_strongly_normal(sub, to_sub_mask(f, elems))
 
     def _reachable(self, f: int, edge) -> bool:
         full = self.hypergroup.full
@@ -235,6 +217,7 @@ class ClosedSubsetLattice:
         return [m for m in self.masks if is_strongly_normal(h, m)]
 
 
+@memo
 def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
     """Build (and memoise) the full lattice of closed subsets.
 
@@ -243,9 +226,6 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
     generated by itself, so this sweep finds them all without touching
     the 2^n subset space.
     """
-    lat = h.__dict__.get("_closed_lattice")
-    if lat is not None:
-        return lat
     found: set[int] = set()
     work: list[int] = []
     for x in h.elements():
@@ -262,9 +242,7 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
                 found.add(c)
                 work.append(c)
     masks = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
-    lat = ClosedSubsetLattice(hypergroup=h, masks=masks)
-    h.__dict__["_closed_lattice"] = lat
-    return lat
+    return ClosedSubsetLattice(hypergroup=h, masks=masks)
 
 
 def maximal_closed_subsets(h: Hypergroup) -> list[int]:

@@ -15,15 +15,44 @@ A table is valid when
 where p* is the inverse partner derived from the table: the unique q
 with 1 in pq.  The left-identity row and the involutivity of * are
 consequences of H2/H3 and are asserted, never trusted.
+
+Valid hypergroups are interned by table: validating a table seen before
+returns the existing instance, so everything memoised on it (see
+:func:`memo`) is shared by every route that arrives at that table.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
+
+# Normalized cell tuple -> the validated instance, while anything holds it.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_MISSING = object()
+
+
+def memo(fn):
+    """Cache ``fn(obj, *args)`` on ``obj``, keyed by the function and ``args``.
+
+    The one memoisation mechanism of the package: results live in
+    ``obj.__dict__`` and die with ``obj``.  An exception is not cached, so
+    a failing call fails again every time.
+    """
+    @wraps(fn)
+    def cached(obj, *args):
+        store = obj.__dict__.get("_memo")
+        if store is None:
+            store = obj.__dict__["_memo"] = {}
+        key = (fn, args)
+        got = store.get(key, _MISSING)
+        if got is _MISSING:
+            got = store[key] = fn(obj, *args)
+        return got
+    return cached
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -104,8 +133,9 @@ class Hypergroup:
     Instances are immutable: ``table`` is a tuple of row tuples of cell
     masks and ``star`` is the derived inverse permutation.  Construct via
     :func:`validate`; the constructor itself does not re-check anything.
-    Derived data (lattices, series, ...) is memoised on the instance by
-    the modules that compute it.
+    :func:`validate` interns instances by table, so one table has one
+    instance per process while it is referenced.  Derived data (lattices,
+    quotients, series, ...) is cached on the instance by :func:`memo`.
     """
 
     order: int
@@ -116,6 +146,10 @@ class Hypergroup:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # Unpickling goes through the validator, so copies are interned too.
+        return validate, (self.order, self.table)
 
     @cached_property
     def _hash(self) -> int:
@@ -198,7 +232,9 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
     Cells may be given as masks or as iterables of indices.  Checks run
     in a fixed order (empties, right identity, inverse derivation,
     associativity, exchange) and the first failing check raises with its
-    first witness plus the count of all violations of that check.
+    first witness plus the count of all violations of that check.  A table
+    that passed before returns its interned instance without re-checking;
+    an invalid table is never stored, so it raises on every call.
     """
     if not isinstance(order, int) or order < 1:
         raise ValueError("order must be a positive integer")
@@ -208,6 +244,9 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
         raise ValueError("table must be square of side `order`")
 
     table = tuple(tuple(_as_mask(cell, order) for cell in row) for row in raw_table)
+    known = _INTERNED.get(table)
+    if known is not None:
+        return known
 
     empties = [(i, j) for i in range(order) for j in range(order) if table[i][j] == 0]
     if empties:
@@ -275,30 +314,5 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
     assert star[0] == 0
     assert all(star[star[i]] == i for i in range(order))
     assert all(table[0][j] == 1 << j for j in range(order))
+    _INTERNED[table] = h
     return h
-
-
-def is_group_check(h: Hypergroup) -> bool:
-    """True when every product is a singleton and those singletons form a group.
-
-    Runs the plain group axioms on the collapsed table, independently of
-    the thinness test; the two must agree on every valid hypergroup.
-    """
-    n = h.order
-    cayley = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = h.table[i][j]
-            if cell & (cell - 1):
-                return False
-            row.append(cell.bit_length() - 1)
-        cayley.append(row)
-    if any(cayley[i][0] != i or cayley[0][i] != i for i in range(n)):
-        return False
-    if any(0 not in cayley[i] for i in range(n)):
-        return False
-    return all(
-        cayley[cayley[i][j]][k] == cayley[i][cayley[j][k]]
-        for i in range(n) for j in range(n) for k in range(n)
-    )

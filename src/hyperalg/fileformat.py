@@ -13,7 +13,7 @@ parse is the identity on any ordering the parser accepts.
 
 from __future__ import annotations
 
-from hyperalg.core import Hypergroup, bits, validate
+from hyperalg.core import MAX_ORDER, Hypergroup, bits, validate
 
 
 class FileFormatError(Exception):
@@ -72,8 +72,9 @@ def read_table(text: str) -> tuple[str, int, list[list[int]]]:
             except ValueError:
                 raise FormatSyntaxError(f"order is not an integer: {tokens[1]!r}",
                                         lineno) from None
-            if order < 1:
-                raise FormatSyntaxError("order must be positive", lineno)
+            if not 1 <= order <= MAX_ORDER:
+                raise FormatSyntaxError(f"order must be in 1..{MAX_ORDER}, got {order}",
+                                        lineno)
             table = [[0] * order for _ in range(order)]
             stage = 3
             continue

@@ -16,15 +16,6 @@ class CorpusEntry:
     provenance: str
     hypergroup: Hypergroup
 
-    def analysis(self):
-        """Full analysis report, cached on the underlying hypergroup."""
-        from hyperalg.report import analyze
-        got = self.hypergroup.__dict__.get("_analysis")
-        if got is None:
-            got = analyze(self.hypergroup, name=self.name)
-            self.hypergroup.__dict__["_analysis"] = got
-        return got
-
 
 def enumerated_entries(orders=(2, 3), canonical: bool = False) -> list[CorpusEntry]:
     entries = []

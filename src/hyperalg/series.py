@@ -27,7 +27,7 @@ from hyperalg.closed import (
     sub_hypergroup,
     to_sub_mask,
 )
-from hyperalg.core import Hypergroup, bits, members
+from hyperalg.core import Hypergroup, bits, members, memo
 from hyperalg.quotient import build_quotient, lift_blocks, project_subset
 
 MAX_RT_CHAINS = 10000
@@ -49,15 +49,17 @@ class UnknownStatement(Exception):
     pass
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending (none for n = 1)."""
+    out = []
+    p = 2
+    while n > 1:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return tuple(out)
 
 
 def commutator_elements(h: Hypergroup, a: int, b: int) -> int:
@@ -67,28 +69,21 @@ def commutator_elements(h: Hypergroup, a: int, b: int) -> int:
     return h.set_product(m, 1 << b)
 
 
+@memo
 def commutator_subset(h: Hypergroup, amask: int, bmask: int) -> int:
     """Smallest closed subset containing every elementwise commutator of A x B."""
     if amask == 0 or bmask == 0:
         raise EmptySet("commutator of an empty set")
-    cache = h.__dict__.setdefault("_commutator_cache", {})
-    got = cache.get((amask, bmask))
-    if got is not None:
-        return got
     gen = 0
     for a in bits(amask):
         for b in bits(bmask):
             gen |= commutator_elements(h, a, b)
-    out = generated_closure(h, gen)
-    cache[(amask, bmask)] = out
-    return out
+    return generated_closure(h, gen)
 
 
+@memo
 def lower_central_series(h: Hypergroup) -> tuple[int, ...]:
     """Descending commutator series, first term the whole set, stabilised."""
-    got = h.__dict__.get("_lower_central")
-    if got is not None:
-        return got
     series = [h.full]
     for _ in range(h.order + 1):
         nxt = commutator_subset(h, series[-1], h.full)
@@ -98,9 +93,7 @@ def lower_central_series(h: Hypergroup) -> tuple[int, ...]:
         series.append(nxt)
     else:
         raise InternalMismatch("lower central series failed to stabilise")
-    out = tuple(series)
-    h.__dict__["_lower_central"] = out
-    return out
+    return tuple(series)
 
 
 def is_nilpotent(h: Hypergroup) -> tuple[bool, int | None]:
@@ -111,6 +104,7 @@ def is_nilpotent(h: Hypergroup) -> tuple[bool, int | None]:
     return True, series.index(1)
 
 
+@memo
 def closed_center_series(h: Hypergroup) -> tuple[int, ...]:
     """Ascending closed-center series from the trivial subset, stabilised.
 
@@ -118,9 +112,6 @@ def closed_center_series(h: Hypergroup) -> tuple[int, ...]:
     the quotient over the previous term; every term is checked to be a
     normal closed subset.
     """
-    got = h.__dict__.get("_center_series")
-    if got is not None:
-        return got
     series = [1]
     for _ in range(h.order + 1):
         q = build_quotient(h, series[-1])
@@ -132,15 +123,14 @@ def closed_center_series(h: Hypergroup) -> tuple[int, ...]:
         series.append(lifted)
     else:
         raise InternalMismatch("closed center series failed to stabilise")
-    out = tuple(series)
-    h.__dict__["_center_series"] = out
-    return out
+    return tuple(series)
 
 
 def inv_hypercenter(h: Hypergroup) -> int:
     return closed_center_series(h)[-1]
 
 
+@memo
 def thin_residue(h: Hypergroup) -> int:
     """Smallest strongly normal closed subset, computed two ways.
 
@@ -148,9 +138,6 @@ def thin_residue(h: Hypergroup) -> int:
     route two closes the union of the sets star(x)·x.  The two must agree
     and the result must itself be strongly normal.
     """
-    got = h.__dict__.get("_thin_residue")
-    if got is not None:
-        return got
     lat = all_closed_subsets(h)
     meet = h.full
     for m in lat.strongly_normal_members():
@@ -165,7 +152,6 @@ def thin_residue(h: Hypergroup) -> int:
             f"commutator closure {members(closed_route)}")
     if not is_strongly_normal(h, meet):
         raise InternalMismatch("thin residue is not strongly normal")
-    h.__dict__["_thin_residue"] = meet
     return meet
 
 
@@ -175,6 +161,7 @@ def _step_quotient(h: Hypergroup, small: int, big: int):
     return build_quotient(sub, to_sub_mask(small, elems))
 
 
+@memo
 def is_solvable(h: Hypergroup) -> tuple[bool, tuple[int, ...] | None, tuple[int, ...] | None]:
     """Search the lattice for a chain with thin quotients of prime order.
 
@@ -183,9 +170,6 @@ def is_solvable(h: Hypergroup) -> tuple[bool, tuple[int, ...] | None, tuple[int,
     order with memoised dead ends, so the witness is deterministic and a
     failure is exhaustive.
     """
-    got = h.__dict__.get("_solvable")
-    if got is not None:
-        return got
     lat = all_closed_subsets(h)
     dead: set[int] = set()
 
@@ -198,7 +182,7 @@ def is_solvable(h: Hypergroup) -> tuple[bool, tuple[int, ...] | None, tuple[int,
             if not lat.strongly_normal_in(f, k):
                 continue
             q = _step_quotient(h, f, k)
-            if not q.induced.is_thin() or not _is_prime(q.induced.order):
+            if not q.induced.is_thin() or _prime_factors(len(q)) != (len(q),):
                 continue
             tail = extend(k)
             if tail is not None:
@@ -208,20 +192,15 @@ def is_solvable(h: Hypergroup) -> tuple[bool, tuple[int, ...] | None, tuple[int,
 
     chain = extend(1)
     if chain is None:
-        out = (False, None, None)
-    else:
-        orders = tuple(len(_step_quotient(h, chain[i], chain[i + 1]))
-                       for i in range(len(chain) - 1))
-        out = (True, tuple(chain), orders)
-    h.__dict__["_solvable"] = out
-    return out
+        return False, None, None
+    orders = tuple(len(_step_quotient(h, chain[i], chain[i + 1]))
+                   for i in range(len(chain) - 1))
+    return True, tuple(chain), orders
 
 
+@memo
 def _rt_chains(h: Hypergroup) -> tuple[list[tuple[int, ...]], bool]:
     """All complete chains with thin step quotients, capped at MAX_RT_CHAINS."""
-    got = h.__dict__.get("_rt_chains")
-    if got is not None:
-        return got
     lat = all_closed_subsets(h)
     chains: list[tuple[int, ...]] = []
     truncated = False
@@ -248,20 +227,16 @@ def _rt_chains(h: Hypergroup) -> tuple[list[tuple[int, ...]], bool]:
         return any_done
 
     walk(1, [1])
-    out = (chains, truncated)
-    h.__dict__["_rt_chains"] = out
-    return out
+    return chains, truncated
 
 
+@memo
 def valency(h: Hypergroup) -> int:
     """Product of step-quotient orders along a thin-quotient chain.
 
     Raises NotRT when no chain exists, InternalMismatch if two chains
     disagree on the product (chain independence is checked, not assumed).
     """
-    got = h.__dict__.get("_valency")
-    if got is not None:
-        return got
     chains, _truncated = _rt_chains(h)
     if not chains:
         raise NotRT("no chain of closed subsets with thin quotients")
@@ -273,9 +248,7 @@ def valency(h: Hypergroup) -> int:
         values.add(v)
     if len(values) != 1:
         raise InternalMismatch(f"valency is chain dependent: {sorted(values)}")
-    out = values.pop()
-    h.__dict__["_valency"] = out
-    return out
+    return values.pop()
 
 
 @dataclass(frozen=True)
@@ -288,18 +261,6 @@ class RTReport:
     p_subsets: dict[int, tuple[int, ...]]
     sylow: dict[int, tuple[int, ...]]
     non_rt_closed: tuple[int, ...]
-
-
-def _prime_power(n: int) -> int | None:
-    """The prime p with n a power of p, or None (1 is a power of anything)."""
-    if n == 1:
-        return 1
-    for p in range(2, n + 1):
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-    return None
 
 
 def rt_analysis(h: Hypergroup) -> RTReport:
@@ -316,16 +277,6 @@ def rt_analysis(h: Hypergroup) -> RTReport:
     chain = min(chains, key=lambda c: (len(c), c))
     step_orders = tuple(len(_step_quotient(h, a, b)) for a, b in zip(chain, chain[1:]))
 
-    primes = []
-    rest = n_h
-    p = 2
-    while rest > 1:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-
     lat = all_closed_subsets(h)
     sub_valency: dict[int, int | None] = {}
     non_rt = []
@@ -339,9 +290,9 @@ def rt_analysis(h: Hypergroup) -> RTReport:
 
     p_subsets: dict[int, tuple[int, ...]] = {}
     sylow: dict[int, tuple[int, ...]] = {}
-    for p in primes:
+    for p in _prime_factors(n_h):
         ps = [c for c, v in sub_valency.items()
-              if v is not None and _prime_power(v) in (1, p)]
+              if v is not None and _prime_factors(v) in ((), (p,))]
         p_subsets[p] = tuple(ps)
         sylow[p] = tuple(c for c in ps
                          if n_h % sub_valency[c] == 0
@@ -441,7 +392,8 @@ def _check_lem_cq(h: Hypergroup, sid: str) -> Verdict:
             pc = project_subset(q, c)
             for d in lat.masks:
                 lhs = commutator_subset(q.induced, pc, project_subset(q, d))
-                rhs = project_subset(q, h.set_product(commutator_subset(h, c, d), f))
+                # 1 in F, so X <= X·F <= union of FxF: X·F and X project alike.
+                rhs = project_subset(q, commutator_subset(h, c, d))
                 if lhs != rhs:
                     return _violated(
                         sid, f"kernel {members(f)}, C {members(c)}, D {members(d)}")
@@ -462,7 +414,8 @@ def _check_cor_n(h: Hypergroup, sid: str) -> Verdict:
         quo = lower_central_series(q.induced)
         for s in range(1, max(len(base), len(quo)) + 2):
             lhs = _series_term(quo, s)
-            rhs = project_subset(q, h.set_product(_series_term(base, s), f))
+            # 1 in F, so X <= X·F <= union of FxF: X·F and X project alike.
+            rhs = project_subset(q, _series_term(base, s))
             if lhs != rhs:
                 return _violated(sid, f"kernel {members(f)}, term {s}")
     return _holds(sid)
@@ -485,7 +438,8 @@ def _check_lem_qu(h: Hypergroup, sid: str) -> Verdict:
         if not is_normal(h, f):
             continue
         q = build_quotient(h, f)
-        lhs = project_subset(q, h.set_product(res, f))
+        # 1 in F, so X <= X·F <= union of FxF: X·F and X project alike.
+        lhs = project_subset(q, res)
         rhs = thin_residue(q.induced)
         if lhs != rhs:
             return _violated(sid, f"kernel {members(f)}")

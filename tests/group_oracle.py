@@ -87,3 +87,28 @@ def is_nilpotent(table) -> bool:
 
 def is_solvable(table) -> bool:
     return derived_series(table)[-1] == frozenset({0})
+
+
+def is_group_check(cells) -> bool:
+    """True when every cell of a mask table is a singleton and those form a group.
+
+    Runs the plain group axioms on the collapsed table, independently of
+    the thinness test; the two must agree on every valid hypergroup.
+    """
+    n = len(cells)
+    cayley = []
+    for row in cells:
+        out = []
+        for cell in row:
+            if cell & (cell - 1):
+                return False
+            out.append(cell.bit_length() - 1)
+        cayley.append(out)
+    if any(cayley[i][0] != i or cayley[0][i] != i for i in range(n)):
+        return False
+    if any(0 not in cayley[i] for i in range(n)):
+        return False
+    return all(
+        cayley[cayley[i][j]][k] == cayley[i][cayley[j][k]]
+        for i in range(n) for j in range(n) for k in range(n)
+    )

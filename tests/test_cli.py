@@ -134,6 +134,19 @@ def test_quotient_command(s3_file, capsys):
     assert "closed" in capsys.readouterr().err
 
 
+def test_quotient_kernel_index_is_bounded_before_use(s3_file, capsys):
+    assert main(["quotient", s3_file, "--kernel", "0,1000000000000"]) == 1
+    assert "exceed order 6" in capsys.readouterr().err
+
+
+def test_huge_order_header_is_rejected_before_allocation(tmp_path, capsys):
+    path = tmp_path / "huge.hg"
+    path.write_text("hypergroup v1\nname huge\norder 1000000000\ncell 0 0 : 0\n")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 3: order must be in 1..64" in err
+
+
 def test_enumerate_command(tmp_path, capsys):
     out_dir = tmp_path / "enum2"
     assert main(["enumerate", "--order", "2", "--out", str(out_dir)]) == 0

@@ -1,7 +1,10 @@
+import gc
 from itertools import product
 
 import pytest
 
+from group_oracle import is_group_check
+from hyperalg import core
 from hyperalg.core import (
     AmbiguousInverse,
     AssocViolation,
@@ -9,7 +12,6 @@ from hyperalg.core import (
     ExchangeViolation,
     IdentityViolation,
     NoInverse,
-    is_group_check,
     mask_of,
     members,
     validate,
@@ -121,7 +123,7 @@ def test_thin_parts(c2_thin, nonthin2, s3):
 
 def test_is_group_check_agrees_with_thinness(small_corpus):
     for h in small_corpus:
-        assert is_group_check(h) == h.is_thin()
+        assert is_group_check(h.table) == h.is_thin()
 
 
 def test_star_antihomomorphism_exhaustive(small_corpus):
@@ -205,6 +207,37 @@ def test_revalidation_reproduces_star(small_corpus):
     for h in small_corpus:
         again = validate(h.order, h.table)
         assert again.star == h.star and again.table == h.table
+
+
+def test_validate_interns_by_table():
+    h = validate(2, NONTHIN2)
+    assert validate(2, [[{0}, {1}], [{1}, {0, 1}]]) is h  # same table, other spelling
+    assert validate(2, C2) is not h
+
+
+@pytest.mark.parametrize("raw, exc, witness, count", [
+    (ASSOC_BAD3, AssocViolation, (1, 1, 2), 7),
+    (EXCH_BAD3, ExchangeViolation, (1, 0, 1), 4),
+    ([[1, 2], [2, 0]], EmptyProduct, (1, 1), 1),
+])
+def test_invalid_tables_are_never_interned(raw, exc, witness, count):
+    key = tuple(tuple(row) for row in raw)
+    for _ in range(2):
+        with pytest.raises(exc) as err:
+            validate(len(raw), raw)
+        assert (err.value.witness, err.value.count) == (witness, count)
+        assert key not in core._INTERNED
+
+
+def test_intern_entry_dies_with_last_reference():
+    n = 13  # no fixture keeps a cyclic group of this order alive
+    raw = [[1 << (i + j) % n for j in range(n)] for i in range(n)]
+    key = tuple(tuple(row) for row in raw)
+    h = validate(n, raw)
+    assert core._INTERNED[key] is h
+    del h
+    gc.collect()
+    assert key not in core._INTERNED
 
 
 def test_subset_associativity_exhaustive(enum2, enum3):

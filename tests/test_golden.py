@@ -1,0 +1,35 @@
+"""Byte-level regression: reports and tallies must match the files in golden/.
+
+The files were written by hyperalg 0.1.0: `render_machine(analyze(...))`
+for every bundled group of order <= 12 and every enumerated hypergroup of
+order 2..3 (raw sweep, entry names as in the harness), concatenated in
+that order, and the stdout of `hyperalg verify --order 4 --groups-up-to 12`.
+"""
+
+from pathlib import Path
+
+from hyperalg.cli import main
+from hyperalg.harness import enumerated_entries, group_entries
+from hyperalg.report import analyze, render_machine
+
+GOLDEN = Path(__file__).with_name("golden")
+
+
+def _reports(entries) -> str:
+    return "".join(render_machine(analyze(e.hypergroup, name=e.name)) for e in entries)
+
+
+def test_group_reports_match_golden():
+    want = (GOLDEN / "groups_le12.txt").read_text(encoding="utf-8")
+    assert _reports(group_entries(12)) == want
+
+
+def test_enumerated_reports_match_golden():
+    want = (GOLDEN / "enumerated_le3.txt").read_text(encoding="utf-8")
+    assert _reports(enumerated_entries((2, 3))) == want
+
+
+def test_verify_tallies_match_golden(capsys):
+    assert main(["verify", "--order", "4", "--groups-up-to", "12"]) == 0
+    want = (GOLDEN / "verify_order4_groups12.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want

@@ -2,8 +2,9 @@
 
 from hypothesis import given, strategies as st
 
+from group_oracle import is_group_check
 from hyperalg.closed import all_closed_subsets, generated_closure, is_closed, is_strongly_normal
-from hyperalg.core import HypergroupError, is_group_check, validate
+from hyperalg.core import HypergroupError, validate
 from hyperalg.enumeration import enumerate_hypergroups
 from hyperalg.groups import builtin_groups, from_group
 from hyperalg.quotient import build_quotient, lift_blocks, project_subset, quotient_is_thin
@@ -119,4 +120,4 @@ def test_lift_of_projection_covers(case, raw):
 @given(hypergroups)
 def test_thinness_is_groupness(h):
     assert h.thin_part & 1
-    assert is_group_check(h) == h.is_thin()
+    assert is_group_check(h.table) == h.is_thin()

@@ -28,6 +28,8 @@ def test_quotient_by_full_is_trivial(s3):
 def test_quotient_by_trivial_is_same_table(s3):
     q = build_quotient(s3, 1)
     assert q.induced.table == s3.table
+    assert q.induced is s3  # interned: the copy shares every cached result
+
 
 
 def test_s3_mod_a3_is_c2(s3):
@@ -123,3 +125,13 @@ def test_projection_of_closed_is_closed(small_corpus):
             for s in masks:
                 if f & ~s == 0:  # F <= S
                     assert is_closed(q.induced, project_subset(q, s))
+
+
+def test_projection_absorbs_the_kernel(enum2, enum3, enum4):
+    """project(X·F) == project(X) for closed F and X: 1 in F, X·F within the FxF."""
+    for h in enum2.survivors + enum3.survivors + enum4.survivors:
+        masks = all_closed_subsets(h).masks
+        for f in masks:
+            q = build_quotient(h, f)
+            for x in masks:
+                assert project_subset(q, h.set_product(x, f)) == project_subset(q, x)
