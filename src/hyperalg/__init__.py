@@ -34,7 +34,6 @@ from hyperalg.enumeration import (
     OrderOutOfRange,
     canonical_representatives,
     enumerate_hypergroups,
-    naive_enumerate,
 )
 from hyperalg.groups import NotAGroup, builtin_groups, from_group
 from hyperalg.harness import CorpusEntry, HarnessReport, build_corpus, run_harness
@@ -81,7 +80,7 @@ __all__ = [
     "commutator_subset", "double_coset", "enumerate_hypergroups", "from_group",
     "generated_closure", "inv_hypercenter", "is_closed", "is_nilpotent", "is_normal", "is_solvable", "is_strongly_normal",
     "lift_blocks", "lower_central_series", "mask_of", "maximal_closed_subsets",
-    "members", "naive_enumerate", "project_subset", "quotient_is_thin",
+    "members", "project_subset", "quotient_is_thin",
     "render_machine", "render_text", "rt_analysis", "run_harness",
     "statement_ids", "strong_normalizer", "sub_hypergroup", "thin_residue",
     "valency", "validate", "verify_statement",

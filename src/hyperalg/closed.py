@@ -76,13 +76,6 @@ def to_sub_mask(mask: int, elems: tuple[int, ...]) -> int:
     return m
 
 
-def to_ambient_mask(mask: int, elems: tuple[int, ...]) -> int:
-    m = 0
-    for i in bits(mask):
-        m |= 1 << elems[i]
-    return m
-
-
 def is_normal(h: Hypergroup, f: int) -> bool:
     """F·x inside x·F for every element x; containment forces equality."""
     seen = []

@@ -162,9 +162,6 @@ class Hypergroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def product(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def set_product(self, p: int, q: int) -> int:
         """Union of the cell masks over all member pairs (total, empty-safe)."""
         acc = 0

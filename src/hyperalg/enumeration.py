@@ -20,8 +20,9 @@ per-category split can differ from the naive sweep's first-failing-axiom
 attribution on fillings that break several axioms at once; survivor sets
 and totals never differ.
 
-A deliberately naive sweep (every filling through the validator) backs
-the pruned one as an oracle at orders 2 and 3.
+A deliberately naive sweep (every filling through the validator,
+`tests/naive_enumeration.py`) backs the pruned one as an oracle at
+orders 2 and 3.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 from hyperalg.core import Hypergroup, HypergroupError, validate
 
@@ -165,36 +166,6 @@ def enumerate_hypergroups(order: int, canonicalize: bool = False,
     result = EnumerationResult(
         order=order, candidates=total, rejects=rejects, survivors=tuple(survivors),
         canonical=tuple(canonical_representatives(survivors)) if canonicalize else None)
-    assert result.candidates == result.reject_total() + len(result.survivors)
-    return result
-
-
-def naive_enumerate(order: int) -> EnumerationResult:
-    """Push every candidate filling through the validator, no pruning.
-
-    The independent oracle for the pruned sweep; refuses hopeless sizes.
-    """
-    if not isinstance(order, int) or order < 2:
-        raise OrderOutOfRange(f"got {order!r}")
-    t = (1 << order) - 1
-    cells = (order - 1) ** 2
-    if t ** cells > 10_000_000:
-        raise OrderOutOfRange(f"naive sweep of order {order} is out of reach")
-    free = [(i, j) for i in range(1, order) for j in range(1, order)]
-    survivors = []
-    rejects: dict[str, int] = {}
-    for values in product(range(1, t + 1), repeat=cells):
-        table = _forced_table(order)
-        for (i, j), v in zip(free, values):
-            table[i][j] = v
-        try:
-            survivors.append(validate(order, table))
-        except HypergroupError as err:
-            key = type(err).__name__
-            rejects[key] = rejects.get(key, 0) + 1
-    survivors.sort(key=lambda h: h.table)
-    result = EnumerationResult(order=order, candidates=t ** cells, rejects=rejects,
-                               survivors=tuple(survivors))
     assert result.candidates == result.reject_total() + len(result.survivors)
     return result
 

@@ -71,10 +71,6 @@ class HarnessReport:
             out.append(f"VIOLATED {sid} on {name}: {witness}")
         return out
 
-    def raise_if_violated(self) -> None:
-        if self.violations:
-            raise AssertionError("\n".join(self.lines()))
-
 
 def run_harness(corpus, statements=None) -> HarnessReport:
     """Run every requested statement check over every corpus member.

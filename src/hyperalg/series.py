@@ -5,10 +5,13 @@ whole hypergroup, each later term is the commutator of its predecessor
 with the whole hypergroup, and the nilpotency class is the least n whose
 (n+1)-st term is trivial (so anything abelian-like has class 1).
 
-Quantities that the theory presents as well defined but that we can
-compute along two routes (thin residue, valency) are computed along both
-and compared; a disagreement raises InternalMismatch because it can only
-mean a bug.
+Quantities that the theory presents as well defined are cross-checked.
+The thin residue is computed as a lattice meet and as a closure.  RT and
+valency come from one pass up the closed-subset lattice that gives every
+RT closed subset its valency; every thin-quotient step into a subset must
+reproduce the value already recorded there, so chain independence is
+checked exactly without listing any chain.  A disagreement, or a broken
+series invariant, raises InternalMismatch because it can only mean a bug.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from hyperalg.closed import (
 )
 from hyperalg.core import Hypergroup, bits, members, memo
 from hyperalg.quotient import build_quotient, lift_blocks, project_subset
-
-MAX_RT_CHAINS = 10000
 
 HOLDS = "holds"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
@@ -87,7 +88,8 @@ def lower_central_series(h: Hypergroup) -> tuple[int, ...]:
     series = [h.full]
     for _ in range(h.order + 1):
         nxt = commutator_subset(h, series[-1], h.full)
-        assert nxt & ~series[-1] == 0, "lower central series must be descending"
+        if nxt & ~series[-1]:
+            raise InternalMismatch("lower central series must be descending")
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -116,8 +118,11 @@ def closed_center_series(h: Hypergroup) -> tuple[int, ...]:
     for _ in range(h.order + 1):
         q = build_quotient(h, series[-1])
         lifted = lift_blocks(q, closed_center(q.induced))
-        assert series[-1] & ~lifted == 0, "closed center series must be ascending"
-        assert is_closed(h, lifted) and is_normal(h, lifted)
+        if series[-1] & ~lifted:
+            raise InternalMismatch("closed center series must be ascending")
+        if not (is_closed(h, lifted) and is_normal(h, lifted)):
+            raise InternalMismatch(f"center series term {members(lifted)} is not "
+                                   "a normal closed subset")
         if lifted == series[-1]:
             break
         series.append(lifted)
@@ -199,108 +204,65 @@ def is_solvable(h: Hypergroup) -> tuple[bool, tuple[int, ...] | None, tuple[int,
 
 
 @memo
-def _rt_chains(h: Hypergroup) -> tuple[list[tuple[int, ...]], bool]:
-    """All complete chains with thin step quotients, capped at MAX_RT_CHAINS."""
-    lat = all_closed_subsets(h)
-    chains: list[tuple[int, ...]] = []
-    truncated = False
-    dead: set[int] = set()
+def _valencies(h: Hypergroup) -> dict[int, int]:
+    """Valency of every RT closed subset, in one pass up the lattice.
 
-    def walk(f: int, prefix: list[int]) -> bool:
-        """Extend prefix from f; report whether any completion exists."""
-        nonlocal truncated
-        if f == h.full:
-            if len(chains) < MAX_RT_CHAINS:
-                chains.append(tuple(prefix))
-            else:
-                truncated = True
-            return True
-        if f in dead:
-            return False
-        any_done = False
-        for k in lat.supersets(f):
-            if lat.strongly_normal_in(f, k):
-                if walk(k, prefix + [k]):
-                    any_done = True
-        if not any_done:
-            dead.add(f)
-        return any_done
-
-    walk(1, [1])
-    return chains, truncated
-
-
-@memo
-def valency(h: Hypergroup) -> int:
-    """Product of step-quotient orders along a thin-quotient chain.
-
-    Raises NotRT when no chain exists, InternalMismatch if two chains
-    disagree on the product (chain independence is checked, not assumed).
+    A closed subset C is RT when some chain from the trivial subset to C
+    has strongly normal steps (thin step quotients); its valency is the
+    product of the step-quotient orders.  The closed subsets of C are
+    exactly the closed subsets of h inside C, so one pass over h's lattice
+    serves every C.  Masks are visited by size, so all steps into C are
+    known when C is reached.  Every step must reproduce the value already
+    recorded for its target: chain independence is checked, not assumed.
     """
-    chains, _truncated = _rt_chains(h)
-    if not chains:
-        raise NotRT("no chain of closed subsets with thin quotients")
-    values = set()
-    for chain in chains:
-        v = 1
-        for small, big in zip(chain, chain[1:]):
-            v *= len(_step_quotient(h, small, big))
-        values.add(v)
-    if len(values) != 1:
-        raise InternalMismatch(f"valency is chain dependent: {sorted(values)}")
-    return values.pop()
+    lat = all_closed_subsets(h)
+    val = {1: 1}
+    for f in lat.masks:
+        if f not in val:
+            continue
+        for k in lat.supersets(f):
+            if not lat.strongly_normal_in(f, k):
+                continue
+            v = val[f] * len(_step_quotient(h, f, k))
+            if val.setdefault(k, v) != v:
+                raise InternalMismatch(
+                    f"valency of {members(k)} is chain dependent: {val[k]} vs {v}")
+    return val
+
+
+def valency(h: Hypergroup) -> int:
+    """Product of the step-quotient orders along any thin-quotient chain.
+
+    Read off `_valencies` at the whole set.  Raises NotRT when no chain
+    reaches it, InternalMismatch if two chains disagree on the product.
+    """
+    try:
+        return _valencies(h)[h.full]
+    except KeyError:
+        raise NotRT("no chain of closed subsets with thin quotients") from None
 
 
 @dataclass(frozen=True)
 class RTReport:
-    chain: tuple[int, ...]
-    step_orders: tuple[int, ...]
     valency: int
-    chain_count: int
-    chains_truncated: bool
-    p_subsets: dict[int, tuple[int, ...]]
     sylow: dict[int, tuple[int, ...]]
-    non_rt_closed: tuple[int, ...]
 
 
 def rt_analysis(h: Hypergroup) -> RTReport:
-    """Witness chain, valency, and the p-subset / Sylow classification.
+    """Valency and the Sylow p-subsets, both from `_valencies`.
 
-    A closed subset qualifies as a p-subset only when it is itself RT as
-    a standalone hypergroup (its valency is undefined otherwise); the
-    ones that are not are reported separately rather than dropped.
+    A closed subset C is a Sylow p-subset when C is itself RT, its
+    valency is a power of p (or 1), and it divides the valency of h with
+    a quotient prime to p.  Sylow lists follow lattice order.
     """
-    chains, truncated = _rt_chains(h)
-    if not chains:
-        raise NotRT("no chain of closed subsets with thin quotients")
     n_h = valency(h)
-    chain = min(chains, key=lambda c: (len(c), c))
-    step_orders = tuple(len(_step_quotient(h, a, b)) for a, b in zip(chain, chain[1:]))
-
-    lat = all_closed_subsets(h)
-    sub_valency: dict[int, int | None] = {}
-    non_rt = []
-    for c in lat.masks:
-        sub, _elems = sub_hypergroup(h, c)
-        try:
-            sub_valency[c] = valency(sub)
-        except NotRT:
-            sub_valency[c] = None
-            non_rt.append(c)
-
-    p_subsets: dict[int, tuple[int, ...]] = {}
-    sylow: dict[int, tuple[int, ...]] = {}
-    for p in _prime_factors(n_h):
-        ps = [c for c, v in sub_valency.items()
-              if v is not None and _prime_factors(v) in ((), (p,))]
-        p_subsets[p] = tuple(ps)
-        sylow[p] = tuple(c for c in ps
-                         if n_h % sub_valency[c] == 0
-                         and (n_h // sub_valency[c]) % p != 0)
-
-    return RTReport(chain=chain, step_orders=step_orders, valency=n_h,
-                    chain_count=len(chains), chains_truncated=truncated,
-                    p_subsets=p_subsets, sylow=sylow, non_rt_closed=tuple(non_rt))
+    val = _valencies(h)
+    rt_closed = [c for c in all_closed_subsets(h).masks if c in val]
+    sylow = {p: tuple(c for c in rt_closed
+                      if _prime_factors(val[c]) in ((), (p,))
+                      and n_h % val[c] == 0 and (n_h // val[c]) % p != 0)
+             for p in _prime_factors(n_h)}
+    return RTReport(valency=n_h, sylow=sylow)
 
 
 # --- statement verification -------------------------------------------------
@@ -454,7 +416,9 @@ def _check_lem_sn(h: Hypergroup, sid: str) -> Verdict:
                 continue
             q = build_quotient(h, k)
             pf = project_subset(q, f)
-            assert is_closed(q.induced, pf)
+            if not is_closed(q.induced, pf):
+                raise InternalMismatch(f"projection of {members(f)} over "
+                                       f"{members(k)} is not closed")
             lhs = strong_normalizer(q.induced, pf)
             rhs = project_subset(q, strong_normalizer(h, f))
             if lhs != rhs:

@@ -1,10 +1,18 @@
 import pytest
 
 import group_oracle as oracle
-from hyperalg.closed import all_closed_subsets, is_normal
+from hyperalg import series
+from hyperalg.closed import (
+    all_closed_subsets,
+    is_normal,
+    is_strongly_normal,
+    sub_hypergroup,
+    to_sub_mask,
+)
 from hyperalg.core import mask_of, members, validate
 from hyperalg.quotient import build_quotient
 from hyperalg.series import (
+    InternalMismatch,
     NotRT,
     UnknownStatement,
     closed_center_series,
@@ -134,7 +142,6 @@ def test_solvable(s3, nonthin2):
 
 
 def test_solvable_chain_steps_are_prime_thin(small_corpus):
-    from hyperalg.closed import sub_hypergroup, to_sub_mask
     for h in small_corpus:
         ok, chain, orders = is_solvable(h)
         if not ok:
@@ -165,6 +172,53 @@ def test_not_rt(nonthin2):
         rt_analysis(nonthin2)
     with pytest.raises(NotRT):
         valency(nonthin2)
+
+
+def _chain_valencies(h, c) -> set[int]:
+    """Valency oracle: walk every chain from the trivial subset to C.
+
+    The walk runs inside the sub-hypergroup on C, on that sub-hypergroup's
+    own lattice, and collects the product of the step-quotient orders of
+    each complete chain whose steps are strongly normal.  The walk keeps
+    no memo of its own and has no cap.
+    """
+    sub, _ = sub_hypergroup(h, c)
+    masks = all_closed_subsets(sub).masks
+    products = set()
+
+    def walk(f: int, v: int) -> None:
+        if f == sub.full:
+            products.add(v)
+            return
+        for k in masks:
+            if k == f or f & ~k:
+                continue
+            big, elems = sub_hypergroup(sub, k)
+            small = to_sub_mask(f, elems)
+            if is_strongly_normal(big, small):
+                walk(k, v * len(build_quotient(big, small)))
+
+    walk(1, 1)
+    return products
+
+
+def test_valencies_match_chain_walk(enum2, enum3, enum4, thin_imports):
+    """Every closed subset of every order-2..4 survivor and bundled group <= 12."""
+    corpus = [*enum2.survivors, *enum3.survivors, *enum4.survivors,
+              *thin_imports.values()]
+    for h in corpus:
+        val = series._valencies(h)
+        for c in all_closed_subsets(h).masks:
+            want = _chain_valencies(h, c)
+            assert want == ({val[c]} if c in val else set()), (h.table, members(c))
+
+
+def test_non_descending_commutator_raises(s3, monkeypatch):
+    """A result guard that survives `python -O`: not an assert."""
+    monkeypatch.setattr(series, "commutator_subset",
+                        lambda h, a, b: 1 if a == h.full else h.full)
+    with pytest.raises(InternalMismatch):
+        series.lower_central_series.__wrapped__(s3)
 
 
 def test_verify_statement_catalog(s3, nonthin2, thin_imports):
@@ -208,7 +262,6 @@ def test_nilpotent_members_are_solvable_and_strongly_subnormal(small_corpus):
 
 
 def test_hereditarity_on_nilpotent_members(small_corpus):
-    from hyperalg.closed import sub_hypergroup
     for h in small_corpus:
         if not is_nilpotent(h)[0]:
             continue
