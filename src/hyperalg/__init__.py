@@ -24,6 +24,7 @@ from hyperalg.closed import (
 from hyperalg.core import (
     Hypergroup,
     HypergroupError,
+    InternalMismatch,
     bits,
     mask_of,
     members,
@@ -48,7 +49,6 @@ from hyperalg.quotient import (
 )
 from hyperalg.report import AnalysisReport, analyze, render_machine, render_text
 from hyperalg.series import (
-    InternalMismatch,
     NotRT,
     RTReport,
     UnknownStatement,

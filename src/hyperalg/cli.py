@@ -11,14 +11,14 @@ import os
 import sys
 
 from hyperalg.closed import EmptySet
-from hyperalg.core import HypergroupError, mask_of
+from hyperalg.core import HypergroupError, InternalMismatch, mask_of
 from hyperalg.enumeration import OrderOutOfRange, enumerate_hypergroups
 from hyperalg.fileformat import FileFormatError, parse, read_table, serialize
 from hyperalg.groups import NotAGroup, from_group
 from hyperalg.harness import build_corpus, run_harness
 from hyperalg.quotient import NotClosed, build_quotient
 from hyperalg.report import analyze, render_machine, render_text
-from hyperalg.series import InternalMismatch, statement_ids
+from hyperalg.series import statement_ids
 
 _DOMAIN_ERRORS = (FileFormatError, HypergroupError, NotClosed, NotAGroup,
                   OrderOutOfRange, EmptySet, InternalMismatch, OSError,

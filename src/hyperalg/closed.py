@@ -2,16 +2,16 @@
 
 A closed subset is represented by its bitmask; a mask F is closed when
 F*F is contained in F (equivalently: contains the identity, star-stable,
-and idempotent under the set product).  Normality of a smaller closed
-subset inside a larger one is always evaluated in the sub-hypergroup the
-larger one induces, because the chain definitions quantify there.
+and idempotent under the set product).  Normality of a closed subset F
+inside a larger closed K is decided on the ambient table: K is closed,
+so its products and stars are those of the sub-hypergroup on K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hyperalg.core import Hypergroup, bits, members, memo, validate
+from hyperalg.core import Hypergroup, InternalMismatch, bits, members, memo, validate
 
 
 class EmptySet(Exception):
@@ -25,7 +25,8 @@ def is_closed(h: Hypergroup, s: int) -> bool:
         raise EmptySet("closedness is only defined for nonempty subsets")
     closed = h.set_product(h.set_star(s), s) & ~s == 0
     three_part = (s & 1) and h.set_star(s) == s and h.set_product(s, s) == s
-    assert closed == bool(three_part)
+    if closed != bool(three_part):
+        raise InternalMismatch(f"closedness tests disagree on {members(s)}")
     return closed
 
 
@@ -68,35 +69,27 @@ def sub_hypergroup(h: Hypergroup, f: int) -> tuple[Hypergroup, tuple[int, ...]]:
     return validate(len(elems), table), elems
 
 
-def to_sub_mask(mask: int, elems: tuple[int, ...]) -> int:
-    m = 0
-    for i, e in enumerate(elems):
-        if (mask >> e) & 1:
-            m |= 1 << i
-    return m
+def _normalized_by(h: Hypergroup, f: int, xs: int) -> bool:
+    """F·x inside x·F for every x in xs; containment forces equality."""
+    unequal = False
+    for x in bits(xs):
+        fx, xf = h.set_product(f, 1 << x), h.set_product(1 << x, f)
+        if fx & ~xf:
+            return False
+        unequal |= fx != xf
+    if unequal:
+        raise InternalMismatch(f"F·x inside x·F but not equal for F = {members(f)}")
+    return True
 
 
 def is_normal(h: Hypergroup, f: int) -> bool:
     """F·x inside x·F for every element x; containment forces equality."""
-    seen = []
-    for x in h.elements():
-        xm = 1 << x
-        fx = h.set_product(f, xm)
-        xf = h.set_product(xm, f)
-        if fx & ~xf:
-            return False
-        seen.append((fx, xf))
-    assert all(fx == xf for fx, xf in seen)
-    return True
+    return _normalized_by(h, f, h.full)
 
 
 def is_strongly_normal(h: Hypergroup, f: int) -> bool:
     """star(x)·F·x inside F for every element x."""
-    for x in h.elements():
-        conj = h.set_product(h.set_product(1 << h.star[x], f), 1 << x)
-        if conj & ~f:
-            return False
-    return True
+    return strong_normalizer(h, f) == h.full
 
 
 def centralizer(h: Hypergroup, f: int) -> int:
@@ -116,17 +109,19 @@ def center(h: Hypergroup) -> int:
 def closed_center(h: Hypergroup) -> int:
     """Members of the center whose star partner is also central.
 
-    Always a normal closed subset; that fact is asserted, not assumed.
+    Always a normal closed subset; that fact is checked, not assumed.
     """
     z = center(h)
     out = 0
     for x in bits(z):
         if (z >> h.star[x]) & 1:
             out |= 1 << x
-    assert is_closed(h, out) and is_normal(h, out)
+    if not (is_closed(h, out) and is_normal(h, out)):
+        raise InternalMismatch(f"closed center {members(out)} is not normal and closed")
     return out
 
 
+@memo
 def strong_normalizer(h: Hypergroup, f: int) -> int:
     """All x with star(x)·F·x inside F.  Not closed in general."""
     out = 0
@@ -142,7 +137,7 @@ class ClosedSubsetLattice:
     """Every closed subset of one hypergroup, with (strong) normality edges.
 
     Members are sorted by (size, mask) so reports are deterministic.
-    Normality of K1 inside K2 is decided in the sub-hypergroup on K2.
+    Normality of F inside a member K is decided on the ambient table.
     """
 
     hypergroup: Hypergroup
@@ -151,13 +146,6 @@ class ClosedSubsetLattice:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._index()
-
-    @memo
-    def _index(self) -> frozenset[int]:
-        return frozenset(self.masks)
-
     @memo
     def supersets(self, f: int) -> tuple[int, ...]:
         """Strict supersets of f in lattice order, scanned once per f."""
@@ -165,14 +153,12 @@ class ClosedSubsetLattice:
 
     @memo
     def normal_in(self, f: int, k: int) -> bool:
-        """Is f normal inside the sub-hypergroup on k (f strictly within k)?"""
-        sub, elems = sub_hypergroup(self.hypergroup, k)
-        return is_normal(sub, to_sub_mask(f, elems))
+        """F·x inside x·F for every x in k: f normal in the sub-hypergroup on k."""
+        return _normalized_by(self.hypergroup, f, k)
 
-    @memo
     def strongly_normal_in(self, f: int, k: int) -> bool:
-        sub, elems = sub_hypergroup(self.hypergroup, k)
-        return is_strongly_normal(sub, to_sub_mask(f, elems))
+        """Is star(x)·F·x inside F for every x in k?"""
+        return k & ~strong_normalizer(self.hypergroup, f) == 0
 
     def _reachable(self, f: int, edge) -> bool:
         full = self.hypergroup.full

@@ -75,6 +75,10 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
+class InternalMismatch(Exception):
+    """Two routes to the same quantity disagreed; this is a bug, not data."""
+
+
 class HypergroupError(Exception):
     """Base class for table-validation failures."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from hyperalg.closed import is_closed, is_strongly_normal
-from hyperalg.core import Hypergroup, bits, memo, validate
+from hyperalg.core import Hypergroup, InternalMismatch, bits, memo, validate
 
 
 class NotClosed(Exception):
@@ -53,12 +53,14 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
         if (seen >> x) & 1:
             continue
         b = double_coset(h, x, f)
-        assert b & seen == 0, "double cosets failed to partition"
+        if b & seen:
+            raise InternalMismatch("double cosets failed to partition")
         for y in bits(b):
             block_of[y] = len(blocks)
         blocks.append(b)
         seen |= b
-    assert seen == h.full and blocks[0] == f
+    if seen != h.full or blocks[0] != f:
+        raise InternalMismatch("double cosets must cover the base, kernel first")
 
     reps = [b & -b for b in blocks]  # smallest member of each block, as a mask
     nb = len(blocks)
@@ -76,7 +78,8 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     induced = validate(nb, table)
 
     # Blockwise star transport: the star of a block is the block of the star.
-    assert all(induced.star[block_of[x]] == block_of[h.star[x]] for x in h.elements())
+    if any(induced.star[block_of[x]] != block_of[h.star[x]] for x in h.elements()):
+        raise InternalMismatch("the star of a block is not the block of the star")
 
     return Quotient(base=h, kernel=f, blocks=tuple(blocks),
                     block_of=tuple(block_of), induced=induced)
@@ -102,8 +105,9 @@ def quotient_is_thin(q: Quotient) -> bool:
     """Thinness of the induced hypergroup.
 
     Equivalent to strong normality of the kernel in the base; both sides
-    are computed and the equivalence asserted on every call.
+    are computed and the equivalence checked on every call.
     """
     thin = q.induced.is_thin()
-    assert thin == is_strongly_normal(q.base, q.kernel)
+    if thin != is_strongly_normal(q.base, q.kernel):
+        raise InternalMismatch("thin quotient disagrees with strong normality")
     return thin

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ from hyperalg.fileformat import (
     serialize,
 )
 from hyperalg.groups import from_group, symmetric
+from hyperalg.report import analyze, render_machine
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 C2_TEXT = """hypergroup v1
 name c2
@@ -193,3 +197,18 @@ def test_console_script_and_jobs_determinism(s3_file):
         assert r.returncode == 0, r.stderr
         outputs.append(r.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_analyze_under_python_O_matches_in_process(tmp_path, thin_imports):
+    """Result guards are raises, not asserts: `python -O` gives the same report."""
+    d4 = thin_imports["d4"]
+    path = tmp_path / "d4.hg"
+    path.write_text(serialize(d4, name="d4"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "hyperalg.cli", "analyze", str(path),
+         "--report", "machine"],
+        capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == render_machine(analyze(d4, name="d4"))

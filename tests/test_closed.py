@@ -1,6 +1,7 @@
 import pytest
 
 import group_oracle as oracle
+from hyperalg import closed
 from hyperalg.closed import (
     EmptySet,
     all_closed_subsets,
@@ -14,9 +15,11 @@ from hyperalg.closed import (
     maximal_closed_subsets,
     strong_normalizer,
     sub_hypergroup,
-    to_sub_mask,
 )
-from hyperalg.core import mask_of, members
+from hyperalg.core import InternalMismatch, mask_of, members
+from hyperalg.quotient import build_quotient
+from hyperalg.series import _step_order
+from sub_masks import to_sub_mask
 
 # S3 element indices (permutations in lexicographic order):
 # 0 identity, 1/2/5 transpositions, 3/4 three-cycles.
@@ -182,6 +185,14 @@ def test_centers(s3, nonthin2, thin_imports):
     assert center(v4) == v4.full and closed_center(v4) == v4.full
 
 
+def test_closed_center_guard_raises(thin_imports, monkeypatch):
+    """A result guard that survives `python -O`: not an assert."""
+    c4 = thin_imports["c4"]
+    monkeypatch.setattr(closed, "center", lambda h: mask_of([0, 1, 3]))  # 1·1 = 2
+    with pytest.raises(InternalMismatch):
+        closed_center(c4)
+
+
 def test_strong_normalizer(s3, c2_thin):
     assert strong_normalizer(s3, s3.full) == s3.full
     assert strong_normalizer(c2_thin, 1) == c2_thin.full
@@ -209,3 +220,33 @@ def test_sub_hypergroup_revalidates(small_corpus):
 def test_sub_hypergroup_of_full_is_identity(s3):
     sub, elems = sub_hypergroup(s3, s3.full)
     assert sub is s3 and elems == tuple(range(6))
+
+
+def _strongly_normal_by_loop(sub, f) -> bool:
+    """star(x)·F·x inside F for every x of `sub`, written out on its own."""
+    for x in sub.elements():
+        if sub.set_product_many(1 << sub.star[x], f, 1 << x) & ~f:
+            return False
+    return True
+
+
+def test_lattice_edges_match_sub_hypergroup_route(enum2, enum3, enum4, thin_imports):
+    """Every pair f ⊂ k of closed subsets, decided on the ambient table and
+    again inside the sub-hypergroup on k; over all order-2..4 survivors and
+    the bundled groups <= 12."""
+    corpus = [*enum2.survivors, *enum3.survivors, *enum4.survivors,
+              *thin_imports.values()]
+    for h in corpus:
+        lat = all_closed_subsets(h)
+        for k in lat.masks:
+            sub, elems = sub_hypergroup(h, k)
+            for f in lat.masks:
+                if f == k or f & ~k:
+                    continue
+                small = to_sub_mask(f, elems)
+                where = (h.table, members(f), members(k))
+                assert lat.normal_in(f, k) == is_normal(sub, small), where
+                strong = _strongly_normal_by_loop(sub, small)
+                assert lat.strongly_normal_in(f, k) == strong, where
+                if strong:
+                    assert _step_order(h, f, k) == len(build_quotient(sub, small)), where

@@ -7,7 +7,6 @@ from hyperalg.closed import (
     is_normal,
     is_strongly_normal,
     sub_hypergroup,
-    to_sub_mask,
 )
 from hyperalg.core import mask_of, members, validate
 from hyperalg.quotient import build_quotient
@@ -28,6 +27,7 @@ from hyperalg.series import (
     valency,
     verify_statement,
 )
+from sub_masks import to_sub_mask
 
 A3 = mask_of([0, 3, 4])
 
