@@ -146,6 +146,13 @@ class ClosedSubsetLattice:
     def __len__(self) -> int:
         return len(self.masks)
 
+    def closure(self, seed: int) -> int:
+        """Smallest closed subset containing the seed: closed subsets meet in
+        closed subsets, so it is the first member in order that contains it."""
+        if seed == 0:
+            raise EmptySet("cannot close an empty seed")
+        return next(m for m in self.masks if not seed & ~m)
+
     @memo
     def supersets(self, f: int) -> tuple[int, ...]:
         """Strict supersets of f in lattice order, scanned once per f."""
@@ -200,23 +207,21 @@ class ClosedSubsetLattice:
 def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
     """Build (and memoise) the full lattice of closed subsets.
 
-    Seeds closures from single elements, then from found subsets extended
-    by one extra element, iterating to a fixpoint.  Every closed subset is
-    generated by itself, so this sweep finds them all without touching
-    the 2^n subset space.
+    From the trivial subset up, close F | {x} for one x in each double
+    coset FxF ≠ F of every found F: any y in FxF gives the same closure,
+    since x lies in F·y·F (H3, twice).  Complete, as any closed K is
+    reached from a found F ⊂ K through some x in K - F, whose closure
+    with F stays inside K; the 2^n subset space is never touched.
     """
-    found: set[int] = set()
-    work: list[int] = []
-    for x in h.elements():
-        c = generated_closure(h, 1 << x)
-        if c not in found:
-            found.add(c)
-            work.append(c)
+    found = {1}
+    work = [1]
     while work:
         f = work.pop()
         rest = h.full & ~f
-        for x in bits(rest):
-            c = generated_closure(h, f | (1 << x))
+        while rest:
+            x = rest & -rest
+            rest &= ~h.set_product(h.set_product(f, x), f)
+            c = generated_closure(h, f | x)
             if c not in found:
                 found.add(c)
                 work.append(c)

@@ -14,7 +14,7 @@ A table is valid when
 
 where p* is the inverse partner derived from the table: the unique q
 with 1 in pq.  The left-identity row and the involutivity of * are
-consequences of H2/H3 and are asserted, never trusted.
+consequences of H2/H3 and are checked, never trusted.
 
 Valid hypergroups are interned by table: validating a table seen before
 returns the existing instance, so everything memoised on it (see
@@ -182,13 +182,6 @@ class Hypergroup:
                 qq ^= lo2
         return acc
 
-    def set_product_many(self, *sets: int) -> int:
-        """Left-to-right chained set product (associative by H1)."""
-        acc = sets[0]
-        for s in sets[1:]:
-            acc = self.set_product(acc, s)
-        return acc
-
     def set_star(self, s: int) -> int:
         acc = 0
         star = self.star
@@ -312,8 +305,8 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
         raise ExchangeViolation(*exch_bad[0], count=len(exch_bad))
 
     # Consequences of the axioms; a failure here is a validator bug.
-    assert star[0] == 0
-    assert all(star[star[i]] == i for i in range(order))
-    assert all(table[0][j] == 1 << j for j in range(order))
+    if (star[0] != 0 or any(star[star[i]] != i for i in range(order))
+            or any(table[0][j] != 1 << j for j in range(order))):
+        raise InternalMismatch("star(1) = 1, star(star(x)) = x or 1·x = {x} fails")
     _INTERNED[table] = h
     return h

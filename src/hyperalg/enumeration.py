@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
-from hyperalg.core import Hypergroup, HypergroupError, validate
+from hyperalg.core import Hypergroup, HypergroupError, InternalMismatch, validate
 
 
 class OrderOutOfRange(Exception):
@@ -166,13 +166,15 @@ def enumerate_hypergroups(order: int, canonicalize: bool = False,
     result = EnumerationResult(
         order=order, candidates=total, rejects=rejects, survivors=tuple(survivors),
         canonical=tuple(canonical_representatives(survivors)) if canonicalize else None)
-    assert result.candidates == result.reject_total() + len(result.survivors)
+    if result.candidates != result.reject_total() + len(result.survivors):
+        raise InternalMismatch("candidates must equal rejects plus survivors")
     return result
 
 
 def relabel(h: Hypergroup, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Table of the isomorphic copy under an identity-fixing relabeling."""
-    assert perm[0] == 0
+    if perm[0] != 0:
+        raise InternalMismatch("a relabeling must fix the identity")
     n = h.order
     inv = [0] * n
     for i, p in enumerate(perm):

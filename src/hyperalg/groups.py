@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from hyperalg.core import Hypergroup, validate
+from hyperalg.core import Hypergroup, InternalMismatch, validate
 
 
 class NotAGroup(Exception):
@@ -46,7 +46,8 @@ def from_group(table: list[list[int]]) -> Hypergroup:
     check_group_table(table)
     n = len(table)
     h = validate(n, [[1 << table[i][j] for j in range(n)] for i in range(n)])
-    assert h.is_thin()
+    if not h.is_thin():
+        raise InternalMismatch("a group table imported as a non-thin hypergroup")
     return h
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from hyperalg.closed import all_closed_subsets, center
-from hyperalg.core import Hypergroup, members
+from hyperalg.core import Hypergroup, InternalMismatch, members
 from hyperalg.series import (
     NotRT,
     RTReport,
@@ -44,18 +44,15 @@ class AnalysisReport:
     statements: dict[str, tuple[str, str | None]]
 
     def check_consistency(self) -> None:
+        """Raise InternalMismatch when two fields of the report disagree."""
         full = tuple(range(self.order))
-        assert self.lower_central[0] == full
-        assert self.closed_center_series[-1] == self.inv_hypercenter
-        if self.nilpotent:
-            assert self.nilpotency_class is not None
-            assert self.solvable, "nilpotent members must be solvable"
-        if self.solvable:
-            assert self.solvable_chain is not None and self.solvable_orders is not None
-        if self.rt:
-            assert self.valency is not None
-        if self.thin:
-            assert self.thin_part == full
+        if not (self.lower_central[0] == full
+                and self.closed_center_series[-1] == self.inv_hypercenter
+                and (not self.nilpotent or self.nilpotency_class is not None and self.solvable)
+                and (not self.solvable or None not in (self.solvable_chain, self.solvable_orders))
+                and (not self.rt or self.valency is not None)
+                and (not self.thin or self.thin_part == full)):
+            raise InternalMismatch(f"report {self.name} is inconsistent")
 
 
 def analyze(h: Hypergroup, name: str = "h") -> AnalysisReport:

@@ -17,6 +17,7 @@ series invariant, raises InternalMismatch because it can only mean a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from hyperalg.closed import (
     EmptySet,
@@ -66,15 +67,26 @@ def commutator_elements(h: Hypergroup, a: int, b: int) -> int:
 
 
 @memo
+def _commutator_table(h: Hypergroup) -> tuple[tuple[int, ...], ...]:
+    """`commutator_elements(h, a, b)` for every pair, row a, column b."""
+    return tuple(tuple(commutator_elements(h, a, b) for b in h.elements())
+                 for a in h.elements())
+
+
+@memo
 def commutator_subset(h: Hypergroup, amask: int, bmask: int) -> int:
-    """Smallest closed subset containing every elementwise commutator of A x B."""
+    """Smallest closed subset containing every elementwise commutator of A x B,
+    read from `_commutator_table` and closed by lookup in h's lattice."""
     if amask == 0 or bmask == 0:
         raise EmptySet("commutator of an empty set")
+    table = _commutator_table(h)
+    bs = members(bmask)
     gen = 0
     for a in bits(amask):
-        for b in bits(bmask):
-            gen |= commutator_elements(h, a, b)
-    return generated_closure(h, gen)
+        row = table[a]
+        for b in bs:
+            gen |= row[b]
+    return all_closed_subsets(h).closure(gen)
 
 
 @memo
@@ -349,19 +361,33 @@ def _check_prop_nq(h: Hypergroup, sid: str) -> Verdict:
 
 
 def _check_lem_cq(h: Hypergroup, sid: str) -> Verdict:
-    lat = all_closed_subsets(h)
-    normals = [m for m in lat.masks if is_normal(h, m)]
-    for f in normals:
+    """[C, D] projects onto [CF/F, DF/F] for every normal F, closed C and D.
+
+    [C, D] is indexed by lattice position once; per F, quotient commutators
+    are taken over distinct projections only, and C's row over every D is
+    one tuple (a scalar on a one-member lattice).  The witness is the first
+    failing (F, C, D) in lattice order.
+    """
+    masks = all_closed_subsets(h).masks
+    where = {m: i for i, m in enumerate(masks)}
+    rows = [itemgetter(*(where[commutator_subset(h, c, d)] for d in masks)) for c in masks]
+    for f in masks:
+        if not is_normal(h, f):
+            continue
         q = build_quotient(h, f)
-        for c in lat.masks:
-            pc = project_subset(q, c)
-            for d in lat.masks:
-                lhs = commutator_subset(q.induced, pc, project_subset(q, d))
-                # 1 in F, so X <= X·F <= union of FxF: X·F and X project alike.
-                rhs = project_subset(q, commutator_subset(h, c, d))
-                if lhs != rhs:
-                    return _violated(
-                        sid, f"kernel {members(f)}, C {members(c)}, D {members(d)}")
+        # 1 in F, so X <= X·F <= union of FxF: X·F and X project alike.
+        proj = [project_subset(q, m) for m in masks]
+        at = {p: i for i, p in enumerate(dict.fromkeys(proj))}
+        spread = itemgetter(*(at[p] for p in proj))
+        quo = {pc: spread(tuple(commutator_subset(q.induced, pc, pd) for pd in at))
+               for pc in at}
+        for c, pc, row in zip(masks, proj, rows):
+            if quo[pc] != row(proj):
+                d = next(d for d, pd in zip(masks, proj)
+                         if commutator_subset(q.induced, pc, pd)
+                         != proj[where[commutator_subset(h, c, d)]])
+                return _violated(
+                    sid, f"kernel {members(f)}, C {members(c)}, D {members(d)}")
     return _holds(sid)
 
 

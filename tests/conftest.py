@@ -53,6 +53,12 @@ def a5():
 
 
 @pytest.fixture(scope="session")
+def corpus(enum2, enum3, enum4, thin_imports):
+    """Every order-2..4 survivor plus the bundled groups <= 12."""
+    return [*enum2.survivors, *enum3.survivors, *enum4.survivors, *thin_imports.values()]
+
+
+@pytest.fixture(scope="session")
 def small_corpus(enum2, enum3, thin_imports):
     """Every enumerated hypergroup of order <= 3 plus group imports <= 8."""
     out = list(enum2.survivors) + list(enum3.survivors)

@@ -7,7 +7,7 @@ checks, so a pruning bug cannot hide in both.
 
 from itertools import product
 
-from hyperalg.core import HypergroupError, validate
+from hyperalg.core import HypergroupError, InternalMismatch, validate
 from hyperalg.enumeration import EnumerationResult, OrderOutOfRange
 
 
@@ -37,6 +37,7 @@ def naive_enumerate(order: int) -> EnumerationResult:
             key = type(err).__name__
             rejects[key] = rejects.get(key, 0) + 1
     survivors.sort(key=lambda h: h.table)
-    assert t ** cells == sum(rejects.values()) + len(survivors)
+    if t ** cells != sum(rejects.values()) + len(survivors):
+        raise InternalMismatch("candidates must equal rejects plus survivors")
     return EnumerationResult(order=order, candidates=t ** cells, rejects=rejects,
                              survivors=tuple(survivors))

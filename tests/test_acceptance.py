@@ -39,6 +39,7 @@ from hyperalg.series import (
     verify_statement,
 )
 from naive_enumeration import naive_enumerate
+from set_products import set_product_many
 
 ENUM_BUDGET_SECONDS = 600   # criterion 2: pruned sweep budget for order 4
 A5_BUDGET_SECONDS = 300     # criterion 4: full analysis budget for a5
@@ -116,7 +117,7 @@ def _identity_law_problems(h) -> list[str]:
         for q in h.elements():
             if bool(h.table[p][q] & 1) != (q == h.star[p]):
                 out.append(f"identity membership law fails at ({p},{q})")
-            comm = h.set_product_many(1 << h.star[p], 1 << h.star[q],
+            comm = set_product_many(h, 1 << h.star[p], 1 << h.star[q],
                                       1 << p, 1 << q)
             if h.commutes(p, q) and not comm & 1:
                 out.append(f"commuting pair without identity in commutator ({p},{q})")
@@ -163,9 +164,9 @@ def _generated_closure_problems(h) -> list[str]:
         if union != clo:
             out.append(f"closure of {members(a)} is not the union of powers")
         for x in h.elements():
-            conj = h.set_product_many(1 << h.star[x], a, 1 << x)
+            conj = set_product_many(h, 1 << h.star[x], a, 1 << x)
             if conj & ~clo == 0:
-                big = h.set_product_many(1 << h.star[x], clo, 1 << x)
+                big = set_product_many(h, 1 << h.star[x], clo, 1 << x)
                 if big & ~clo:
                     out.append(f"conjugation escapes closure of {members(a)}")
     return out
@@ -227,7 +228,7 @@ def test_criterion_2_commutation_biconditional(enum_corpus):
     for name, h in enum_corpus:
         for a in h.elements():
             for b in h.elements():
-                comm = h.set_product_many(1 << h.star[a], 1 << h.star[b],
+                comm = set_product_many(h, 1 << h.star[a], 1 << h.star[b],
                                           1 << a, 1 << b)
                 if h.commutes(a, b) != bool(comm & 1):
                     problems.append(f"{name}: pair ({a},{b})")

@@ -1,11 +1,15 @@
+import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from hyperalg.cli import main
+from hyperalg.core import InternalMismatch
+from hyperalg.enumeration import relabel
 from hyperalg.fileformat import (
     DuplicateCell,
     FormatSyntaxError,
@@ -212,3 +216,23 @@ def test_analyze_under_python_O_matches_in_process(tmp_path, thin_imports):
         capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout == render_machine(analyze(d4, name="d4"))
+
+
+def test_no_assert_statement_in_src():
+    """`python -O` drops asserts, so no result may rest on one."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(SRC, "hyperalg").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_inconsistent_report_raises(thin_imports):
+    report = analyze(thin_imports["c4"], name="c4")
+    with pytest.raises(InternalMismatch):
+        replace(report, solvable=False).check_consistency()
+
+
+def test_relabel_must_fix_the_identity(thin_imports):
+    with pytest.raises(InternalMismatch):
+        relabel(thin_imports["c2"], (1, 0))

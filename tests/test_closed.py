@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import group_oracle as oracle
@@ -19,6 +21,7 @@ from hyperalg.closed import (
 from hyperalg.core import InternalMismatch, mask_of, members
 from hyperalg.quotient import build_quotient
 from hyperalg.series import _step_order
+from set_products import set_product_many
 from sub_masks import to_sub_mask
 
 # S3 element indices (permutations in lexicographic order):
@@ -82,10 +85,10 @@ def test_conjugation_stays_inside_closure(enum2, enum3):
                 continue
             clo = generated_closure(h, a)
             for x in h.elements():
-                conj = h.set_product_many(1 << h.star[x], a, 1 << x)
+                conj = set_product_many(h, 1 << h.star[x], a, 1 << x)
                 if conj & ~clo:
                     continue
-                conj_clo = h.set_product_many(1 << h.star[x], clo, 1 << x)
+                conj_clo = set_product_many(h, 1 << h.star[x], clo, 1 << x)
                 assert conj_clo & ~clo == 0
 
 
@@ -124,6 +127,36 @@ def test_lattice_closed_under_intersection(small_corpus):
 def test_lattice_matches_brute_force(enum2, enum3):
     for h in list(enum2.survivors) + list(enum3.survivors):
         assert list(all_closed_subsets(h).masks) == brute_closed_subsets(h)
+
+
+def single_extension_lattice(h):
+    """All closed subsets by closing F | {x} for every found F and every x
+    outside it (oracle: about L·n closures, no double cosets)."""
+    found = {generated_closure(h, 1 << x) for x in h.elements()}
+    work = list(found)
+    while work:
+        f = work.pop()
+        for x in members(h.full & ~f):
+            c = generated_closure(h, f | (1 << x))
+            if c not in found:
+                found.add(c)
+                work.append(c)
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def test_lattice_matches_single_extension_sweep(corpus):
+    for h in corpus:
+        assert list(all_closed_subsets(h).masks) == single_extension_lattice(h), h.table
+
+
+def test_lattice_closure_matches_generated_closure(corpus):
+    rng = random.Random(6)
+    for h in corpus:
+        lat = all_closed_subsets(h)
+        for seed in {rng.randint(1, h.full) for _ in range(16)}:
+            assert lat.closure(seed) == generated_closure(h, seed), (h.table, seed)
+    with pytest.raises(EmptySet):
+        lat.closure(0)
 
 
 def test_closed_subsets_are_subgroups_for_imports(thin_imports, group_tables):
@@ -225,17 +258,15 @@ def test_sub_hypergroup_of_full_is_identity(s3):
 def _strongly_normal_by_loop(sub, f) -> bool:
     """star(x)·F·x inside F for every x of `sub`, written out on its own."""
     for x in sub.elements():
-        if sub.set_product_many(1 << sub.star[x], f, 1 << x) & ~f:
+        if set_product_many(sub, 1 << sub.star[x], f, 1 << x) & ~f:
             return False
     return True
 
 
-def test_lattice_edges_match_sub_hypergroup_route(enum2, enum3, enum4, thin_imports):
+def test_lattice_edges_match_sub_hypergroup_route(corpus):
     """Every pair f ⊂ k of closed subsets, decided on the ambient table and
     again inside the sub-hypergroup on k; over all order-2..4 survivors and
     the bundled groups <= 12."""
-    corpus = [*enum2.survivors, *enum3.survivors, *enum4.survivors,
-              *thin_imports.values()]
     for h in corpus:
         lat = all_closed_subsets(h)
         for k in lat.masks:

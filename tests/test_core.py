@@ -16,6 +16,7 @@ from hyperalg.core import (
     members,
     validate,
 )
+from set_products import set_product_many
 
 C2 = [[1, 2], [2, 1]]
 NONTHIN2 = [[1, 2], [2, 3]]
@@ -159,7 +160,7 @@ COMMUTATION_COUNTEREXAMPLE = [
 
 
 def _commutator(h, a, b):
-    return h.set_product_many(1 << h.star[a], 1 << h.star[b], 1 << a, 1 << b)
+    return set_product_many(h, 1 << h.star[a], 1 << h.star[b], 1 << a, 1 << b)
 
 
 def test_commuting_implies_identity_in_commutator(small_corpus):

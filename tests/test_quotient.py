@@ -10,6 +10,7 @@ from hyperalg.quotient import (
     project_subset,
     quotient_is_thin,
 )
+from set_products import set_product_many
 
 A3 = mask_of([0, 3, 4])
 
@@ -81,7 +82,7 @@ def test_block_product_independent_of_representatives(enum2, enum3):
                     want = q.induced.table[ba][bb]
                     for a in bits(blocka):
                         for b in bits(blockb):
-                            prod = h.set_product_many(1 << a, f, 1 << b)
+                            prod = set_product_many(h, 1 << a, f, 1 << b)
                             assert project_subset(q, prod) == want
 
 

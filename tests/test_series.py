@@ -9,7 +9,7 @@ from hyperalg.closed import (
     sub_hypergroup,
 )
 from hyperalg.core import mask_of, members, validate
-from hyperalg.quotient import build_quotient
+from hyperalg.quotient import build_quotient, project_subset
 from hyperalg.series import (
     InternalMismatch,
     NotRT,
@@ -219,6 +219,57 @@ def test_non_descending_commutator_raises(s3, monkeypatch):
                         lambda h, a, b: 1 if a == h.full else h.full)
     with pytest.raises(InternalMismatch):
         series.lower_central_series.__wrapped__(s3)
+
+
+def lem_cq_by_triples(h):
+    """`lem-cq` oracle: every (normal F, closed C, closed D) in lattice
+    order, each quotient commutator taken on its own; (status, witness)."""
+    lat = all_closed_subsets(h)
+    for f in lat.masks:
+        if not is_normal(h, f):
+            continue
+        q = build_quotient(h, f)
+        for c in lat.masks:
+            pc = project_subset(q, c)
+            for d in lat.masks:
+                lhs = series.commutator_subset(q.induced, pc, project_subset(q, d))
+                rhs = project_subset(q, series.commutator_subset(h, c, d))
+                if lhs != rhs:
+                    return "VIOLATED", f"kernel {members(f)}, C {members(c)}, D {members(d)}"
+    return "holds", None
+
+
+def _lem_cq(h):
+    got = verify_statement(h, "lem-cq")
+    return got.status, got.witness
+
+
+def test_lem_cq_matches_triple_loop(corpus):
+    for h in corpus:
+        assert _lem_cq(h) == lem_cq_by_triples(h) == ("holds", None), h.table
+
+
+def test_lem_cq_witness_matches_triple_loop(thin_imports, monkeypatch):
+    """A planted fault: on a proper quotient, [full, D] is full for every
+    D other than the trivial and the full subset."""
+    commutator_subset = series.commutator_subset
+    groups = {name: thin_imports[name] for name in ("d4", "q8", "d6", "c12")}
+    quotients = {build_quotient(h, f).induced
+                 for h in groups.values() for f in all_closed_subsets(h).masks
+                 if f not in (1, h.full) and is_normal(h, f)}
+
+    def faulty(h, a, b):
+        if h in quotients and a == h.full and b not in (1, h.full):
+            return h.full
+        return commutator_subset(h, a, b)
+
+    monkeypatch.setattr(series, "commutator_subset", faulty)
+    got = {name: _lem_cq(h) for name, h in groups.items()}
+    for name, h in groups.items():
+        assert got[name] == lem_cq_by_triples(h), name
+    assert got["d4"] == ("VIOLATED", "kernel (0, 2), C (0, 1, 2, 3, 4, 5, 6, 7), D (0, 4)")
+    assert got["c12"] == ("VIOLATED", "kernel (0, 6), C (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, "
+                                      "10, 11), D (0, 4, 8)")
 
 
 def test_verify_statement_catalog(s3, nonthin2, thin_imports):
