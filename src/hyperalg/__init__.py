@@ -19,7 +19,6 @@ from hyperalg.closed import (
     is_strongly_normal,
     maximal_closed_subsets,
     strong_normalizer,
-    sub_hypergroup,
 )
 from hyperalg.core import (
     Hypergroup,
@@ -82,6 +81,6 @@ __all__ = [
     "lift_blocks", "lower_central_series", "mask_of", "maximal_closed_subsets",
     "members", "project_subset", "quotient_is_thin",
     "render_machine", "render_text", "rt_analysis", "run_harness",
-    "statement_ids", "strong_normalizer", "sub_hypergroup", "thin_residue",
+    "statement_ids", "strong_normalizer", "thin_residue",
     "valency", "validate", "verify_statement",
 ]

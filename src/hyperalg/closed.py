@@ -2,16 +2,17 @@
 
 A closed subset is represented by its bitmask; a mask F is closed when
 F*F is contained in F (equivalently: contains the identity, star-stable,
-and idempotent under the set product).  Normality of a closed subset F
-inside a larger closed K is decided on the ambient table: K is closed,
-so its products and stars are those of the sub-hypergroup on K.
+and idempotent under the set product).  No sub-hypergroup is ever
+built: the products and stars of a closed K's members stay in K, so a
+question about K as a hypergroup in its own right (normality of F in K,
+its lower central series) is decided on the ambient table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hyperalg.core import Hypergroup, InternalMismatch, bits, members, memo, validate
+from hyperalg.core import Hypergroup, InternalMismatch, bits, members, memo
 
 
 class EmptySet(Exception):
@@ -45,28 +46,6 @@ def generated_closure(h: Hypergroup, seed: int) -> int:
         new = (h.set_product(cur, new) | h.set_product(new, cur)) & ~cur
         cur |= new
     return cur
-
-
-@memo
-def sub_hypergroup(h: Hypergroup, f: int) -> tuple[Hypergroup, tuple[int, ...]]:
-    """Restrict the table to a closed subset, reindexed 0..|F|-1 ascending.
-
-    Returns the induced hypergroup together with the ambient indices of
-    its elements.  The restriction is revalidated in full; a failure
-    would mean `f` was not closed or the table is corrupt.
-    """
-    if f == h.full:
-        return h, tuple(h.elements())
-    elems = members(f)
-    pos = {e: i for i, e in enumerate(elems)}
-    table = []
-    for a in elems:
-        row = []
-        for b in elems:
-            cell = h.table[a][b]
-            row.append(sum(1 << pos[x] for x in bits(cell)))
-        table.append(row)
-    return validate(len(elems), table), elems
 
 
 def _normalized_by(h: Hypergroup, f: int, xs: int) -> bool:

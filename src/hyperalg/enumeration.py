@@ -27,8 +27,6 @@ orders 2 and 3.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -92,13 +90,12 @@ def _forced_table(n: int) -> list[list[int]]:
     return table
 
 
-def _search_branch(args: tuple[int, tuple[int, ...]]):
+def _search_branch(n: int, sigma: tuple[int, ...]):
     """Try every exchange-consistent assignment for one involution branch.
 
     Returns (survivor tables, candidates that reached the validator,
     reject tallies keyed by validator error class).
     """
-    n, sigma = args
     orbits = _orbits(n, sigma)
     survivors = []
     rejects: dict[str, int] = {}
@@ -123,17 +120,13 @@ def _search_branch(args: tuple[int, tuple[int, ...]]):
     return survivors, reached, rejects
 
 
-def enumerate_hypergroups(order: int, canonicalize: bool = False,
-                          jobs: int | None = None) -> EnumerationResult:
+def enumerate_hypergroups(order: int, canonicalize: bool = False) -> EnumerationResult:
     """Every hypergroup of the given order, identity at index 0.
 
-    Deterministic: survivors are sorted by their table regardless of the
-    number of worker processes (HYPERALG_JOBS or `jobs` caps parallelism).
+    Deterministic: survivors are sorted by their table.
     """
     if not isinstance(order, int) or not 2 <= order <= 4:
         raise OrderOutOfRange(f"enumeration supports orders 2..4, got {order!r}")
-    if jobs is None:
-        jobs = max(1, int(os.environ.get("HYPERALG_JOBS", "1")))
 
     t = (1 << order) - 1
     m = order - 1
@@ -145,17 +138,11 @@ def enumerate_hypergroups(order: int, canonicalize: bool = False,
     branch_size = (z * w ** (m - 1)) ** m
 
     sigmas = _involutions(order)
-    tasks = [(order, sigma) for sigma in sigmas]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            branch_results = list(pool.map(_search_branch, tasks))
-    else:
-        branch_results = [_search_branch(task) for task in tasks]
-
     rejects = {"NoInverse": total - one_zero_per_row,
                "ExchangeViolation": one_zero_per_row - len(sigmas) * branch_size}
     survivors: list[Hypergroup] = []
-    for branch_survivors, reached, branch_rejects in branch_results:
+    for sigma in sigmas:
+        branch_survivors, reached, branch_rejects = _search_branch(order, sigma)
         survivors.extend(branch_survivors)
         rejects["ExchangeViolation"] += branch_size - reached
         for key, count in branch_rejects.items():

@@ -17,15 +17,13 @@ class CorpusEntry:
     hypergroup: Hypergroup
 
 
-def enumerated_entries(orders=(2, 3), canonical: bool = False) -> list[CorpusEntry]:
+def enumerated_entries(orders=(2, 3)) -> list[CorpusEntry]:
     entries = []
     for order in orders:
-        result = enumerate_hypergroups(order, canonicalize=canonical)
-        kind = "canonical" if canonical else "raw"
-        for i, h in enumerate(result.hypergroups):
+        for i, h in enumerate(enumerate_hypergroups(order).survivors):
             entries.append(CorpusEntry(
                 name=f"enum{order}_{i:03d}",
-                provenance=f"enumerated, order {order}, {kind} index {i}",
+                provenance=f"enumerated, order {order}, raw index {i}",
                 hypergroup=h))
     return entries
 

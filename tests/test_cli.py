@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -6,12 +8,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hyperalg.cli import main
-from hyperalg.core import InternalMismatch
-from hyperalg.enumeration import relabel
+from hyperalg.core import HypergroupError, InternalMismatch
+from hyperalg.enumeration import enumerate_hypergroups, relabel
 from hyperalg.fileformat import (
     DuplicateCell,
+    FileFormatError,
     FormatSyntaxError,
     IndexOutOfRange,
     MissingCell,
@@ -23,6 +27,8 @@ from hyperalg.groups import from_group, symmetric
 from hyperalg.report import analyze, render_machine
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
 C2_TEXT = """hypergroup v1
 name c2
@@ -189,18 +195,14 @@ def test_verify_command(capsys):
     assert "statement thm-center:" in out and "violations = 0" in out
 
 
-def test_console_script_and_jobs_determinism(s3_file):
-    """The installed entry point exists and HYPERALG_JOBS never changes output."""
-    outputs = []
-    for jobs in ("1", "2"):
-        env = dict(os.environ, HYPERALG_JOBS=jobs)
-        r = subprocess.run(
-            [sys.executable, "-m", "hyperalg.cli", "analyze", s3_file,
-             "--report", "machine"],
-            capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        outputs.append(r.stdout)
-    assert outputs[0] == outputs[1]
+def test_console_script_analyze(s3_file, s3):
+    """The installed entry point runs and prints the in-process report."""
+    r = subprocess.run(
+        [sys.executable, "-m", "hyperalg.cli", "analyze", s3_file,
+         "--report", "machine"],
+        capture_output=True, text=True, env=CLI_ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == render_machine(analyze(s3, name="s3"))
 
 
 def test_analyze_under_python_O_matches_in_process(tmp_path, thin_imports):
@@ -208,22 +210,32 @@ def test_analyze_under_python_O_matches_in_process(tmp_path, thin_imports):
     d4 = thin_imports["d4"]
     path = tmp_path / "d4.hg"
     path.write_text(serialize(d4, name="d4"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     r = subprocess.run(
         [sys.executable, "-O", "-m", "hyperalg.cli", "analyze", str(path),
          "--report", "machine"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=CLI_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout == render_machine(analyze(d4, name="d4"))
 
 
+def _src_nodes():
+    """(file:line, node) for every ast node of `src/hyperalg/*.py`."""
+    for path in sorted(Path(SRC, "hyperalg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield f"{path.name}:{getattr(node, 'lineno', 0)}", node
+
+
 def test_no_assert_statement_in_src():
     """`python -O` drops asserts, so no result may rest on one."""
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(Path(SRC, "hyperalg").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Assert)]
+    assert [where for where, node in _src_nodes() if isinstance(node, ast.Assert)] == []
+
+
+def test_no_environment_read_in_src():
+    """Behaviour is chosen by arguments alone: no `os.environ` or `os.getenv`."""
+    names = ("environ", "getenv")
+    found = [where for where, node in _src_nodes()
+             if isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.alias) and node.name in names]
     assert found == []
 
 
@@ -236,3 +248,89 @@ def test_inconsistent_report_raises(thin_imports):
 def test_relabel_must_fix_the_identity(thin_imports):
     with pytest.raises(InternalMismatch):
         relabel(thin_imports["c2"], (1, 0))
+
+
+# --- fuzzing the input boundary ---------------------------------------------
+
+BAD_LINES = ("", "# comment", "hypergroup v1", "hypergroup v2", "name", "name a b",
+             "order 0", "order x", "order 99999999999", "cell 0 0 :", "cell 0 0 0",
+             "cell 0 0 : 0", "cell 9 9 : 0", "cell -1 0 : 0", "cell 1 1 : 1 0",
+             "cell 1 1 : 0 0", "cell 1 1 : 7", "cell a b : c", "frobnicate 1")
+
+
+VALID_TABLES = [((1,),)] + [h.table for order in (2, 3)
+                             for h in enumerate_hypergroups(order).survivors]
+
+
+@st.composite
+def table_texts(draw):
+    """A `hypergroup v1` text of order <= 3: a valid table or random cells
+    (empty ones included), up to two cells redrawn, then up to two lines
+    deleted, replaced or appended."""
+    table = draw(st.sampled_from(VALID_TABLES) | st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    table = [list(row) for row in table]
+    n = len(table)
+    for _ in range(draw(st.integers(0, 2))):
+        table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = \
+            draw(st.integers(0, (1 << n) - 1))
+    lines = ["hypergroup v1", "name t", f"order {n}"]
+    lines += [f"cell {i} {j} : {' '.join(str(k) for k in range(n) if cell >> k & 1)}"
+              for i, row in enumerate(table) for j, cell in enumerate(row)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        new = draw(st.none() | st.sampled_from(BAD_LINES) | st.text(max_size=16))
+        lines[at:at + 1] = [] if new is None else [new]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_texts())
+def test_fuzz_read_table_and_parse(text):
+    """Any text either parses or raises a format or validation error."""
+    try:
+        name, order, table = read_table(text)
+    except FileFormatError:
+        return
+    assert 1 <= order <= 3 and len(table) == order
+    try:
+        parse(text)
+    except HypergroupError:
+        pass
+
+
+ARGS = (["--report", "text"], ["--report", "machine"], ["--report", "pdf"],
+        ["--kernel", "0"], ["--kernel", "0,1"], ["--kernel", "0,7"], ["--kernel", "x"],
+        ["--order", "2"], ["--order", "3"], ["--order", "5"], ["--order", "x"],
+        ["--canonical"], ["--groups-up-to", "0"], ["--groups-up-to", "4"],
+        ["--groups-up-to", "-1"], ["--statements", "thm-center,lem-com"],
+        ["--statements", "thm-bogus"], ["--bogus"])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["check", "analyze", "quotient", "enumerate",
+                                "from-group", "verify", "bogus"]),
+       file=st.sampled_from(["table", "missing", "dir", None]),
+       flags=st.lists(st.sampled_from(ARGS), max_size=3),
+       text=table_texts())
+def test_fuzz_cli_exit_codes(tmp_path, command, file, flags, text):
+    """Any argv (never `--out`) and any table file end in exit 0, 1 or 2,
+    and a domain failure prints one line."""
+    path = tmp_path / "t.hg"
+    path.write_text(text)
+    argv = [command]
+    if file is not None and command not in ("enumerate", "verify"):
+        argv.append({"table": str(path), "missing": str(tmp_path / "none.hg"),
+                     "dir": str(tmp_path)}[file])
+    argv += [arg for flag in flags for arg in flag]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    assert code in (0, 1, 2), argv
+    if code == 1 and "VIOLATED" not in out.getvalue():
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")

@@ -16,13 +16,12 @@ from hyperalg.closed import (
     is_strongly_normal,
     maximal_closed_subsets,
     strong_normalizer,
-    sub_hypergroup,
 )
 from hyperalg.core import InternalMismatch, mask_of, members
 from hyperalg.quotient import build_quotient
 from hyperalg.series import _step_order
 from set_products import set_product_many
-from sub_masks import to_sub_mask
+from sub_masks import sub_hypergroup, to_sub_mask
 
 # S3 element indices (permutations in lexicographic order):
 # 0 identity, 1/2/5 transpositions, 3/4 three-cycles.

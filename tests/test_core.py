@@ -1,4 +1,5 @@
 import gc
+import pickle
 from itertools import product
 
 import pytest
@@ -16,6 +17,7 @@ from hyperalg.core import (
     members,
     validate,
 )
+from hyperalg.report import analyze
 from set_products import set_product_many
 
 C2 = [[1, 2], [2, 1]]
@@ -214,6 +216,14 @@ def test_validate_interns_by_table():
     h = validate(2, NONTHIN2)
     assert validate(2, [[{0}, {1}], [{1}, {0, 1}]]) is h  # same table, other spelling
     assert validate(2, C2) is not h
+
+
+def test_pickle_round_trip_is_the_interned_instance(thin_imports):
+    """Pickling drops the memo store (its keys are functions): the copy is
+    rebuilt by the validator and so is the interned instance itself."""
+    d4 = thin_imports["d4"]
+    analyze(d4, name="d4")
+    assert pickle.loads(pickle.dumps(d4)) is d4
 
 
 @pytest.mark.parametrize("raw, exc, witness, count", [

@@ -79,13 +79,6 @@ def test_canonical_classes_partition_survivors(enum3):
                 assert b.table not in copies
 
 
-def test_parallel_enumeration_is_deterministic(enum3):
-    parallel = enumerate_hypergroups(3, jobs=2)
-    assert [h.table for h in parallel.survivors] == [h.table for h in enum3.survivors]
-    assert parallel.candidates == enum3.candidates
-    assert parallel.rejects == enum3.rejects
-
-
 def test_order_out_of_range():
     for bad in (1, 5, "3"):
         with pytest.raises(OrderOutOfRange):

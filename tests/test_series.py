@@ -2,12 +2,7 @@ import pytest
 
 import group_oracle as oracle
 from hyperalg import series
-from hyperalg.closed import (
-    all_closed_subsets,
-    is_normal,
-    is_strongly_normal,
-    sub_hypergroup,
-)
+from hyperalg.closed import all_closed_subsets, is_normal, is_strongly_normal
 from hyperalg.core import mask_of, members, validate
 from hyperalg.quotient import build_quotient, project_subset
 from hyperalg.series import (
@@ -27,7 +22,7 @@ from hyperalg.series import (
     valency,
     verify_statement,
 )
-from sub_masks import to_sub_mask
+from sub_masks import sub_hypergroup, to_sub_mask
 
 A3 = mask_of([0, 3, 4])
 
@@ -218,7 +213,48 @@ def test_non_descending_commutator_raises(s3, monkeypatch):
     monkeypatch.setattr(series, "commutator_subset",
                         lambda h, a, b: 1 if a == h.full else h.full)
     with pytest.raises(InternalMismatch):
-        series.lower_central_series.__wrapped__(s3)
+        series._lower_central.__wrapped__(s3, s3.full)
+
+
+def test_relative_lower_central_matches_sub_hypergroup(corpus, a5):
+    """Every closed C of every order-2..4 survivor and every bundled group:
+    the series of C on the ambient table, term by term, is the series of
+    the sub-hypergroup on C."""
+    checked = nilpotent = 0
+    for h in [*corpus, a5]:
+        for c in all_closed_subsets(h).masks:
+            sub, elems = sub_hypergroup(h, c)
+            got = tuple(to_sub_mask(x, elems) for x in series._lower_central(h, c))
+            assert got == lower_central_series(sub), (h.table, members(c))
+            checked += 1
+            nilpotent += got[-1] == 1
+    assert (checked, nilpotent) == (1324, 672)
+
+
+def prop_s_by_sub_hypergroups(h):
+    """`prop-s` oracle without its hypothesis: the first lattice member whose
+    sub-hypergroup's lower central series misses 1; (status, witness)."""
+    for m in all_closed_subsets(h).masks:
+        if lower_central_series(sub_hypergroup(h, m)[0])[-1] != 1:
+            return "VIOLATED", f"closed subset {members(m)} is not nilpotent"
+    return "holds", None
+
+
+def test_prop_s_witness_matches_sub_hypergroup_route(corpus, thin_imports, monkeypatch):
+    """No corpus entry violates `prop-s`, so its hypothesis is patched away:
+    every entry then counts as nilpotent, and the ambient route must name
+    the same first non-nilpotent closed subset as the sub-hypergroup route."""
+    monkeypatch.setattr(series, "is_nilpotent", lambda h: (True, 1))
+    violated = proper = 0
+    for h in corpus:
+        got = verify_statement(h, "prop-s")
+        assert (got.status, got.witness) == prop_s_by_sub_hypergroups(h), h.table
+        violated += got.status == "VIOLATED"
+        proper += got.status == "VIOLATED" and got.witness != (
+            f"closed subset {members(h.full)} is not nilpotent")
+    assert (violated, proper) == (435, 167)
+    assert verify_statement(thin_imports["d6"], "prop-s").witness == \
+        "closed subset (0, 2, 4, 6, 8, 10) is not nilpotent"
 
 
 def lem_cq_by_triples(h):
