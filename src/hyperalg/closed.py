@@ -24,8 +24,9 @@ def is_closed(h: Hypergroup, s: int) -> bool:
     three-part characterization (identity, star-stable, idempotent)."""
     if s == 0:
         raise EmptySet("closedness is only defined for nonempty subsets")
-    closed = h.set_product(h.set_star(s), s) & ~s == 0
-    three_part = (s & 1) and h.set_star(s) == s and h.set_product(s, s) == s
+    star = h.set_star(s)
+    closed = h.set_product(star, s) & ~s == 0
+    three_part = (s & 1) and star == s and h.set_product(s, s) == s
     if closed != bool(three_part):
         raise InternalMismatch(f"closedness tests disagree on {members(s)}")
     return closed
@@ -35,16 +36,29 @@ def is_closed(h: Hypergroup, s: int) -> bool:
 def generated_closure(h: Hypergroup, seed: int) -> int:
     """Smallest closed subset containing the seed.
 
-    Fixpoint of B -> B | B·B starting from {identity} | seed | star(seed).
+    G = {identity} | seed | star(seed) holds the identity and is
+    star-stable, so the union of its powers G^k is closed under products
+    (set products are associative) and under star (star(G^k) = G^k), and
+    every closed subset holding the seed holds it: it is the closure.
+    G^(k+1) is the union of e·G over the members e of G^k, so multiplying
+    each element found on the right by G reaches every power, at
+    |closure|·|G| table reads.
     """
     if seed == 0:
         raise EmptySet("cannot close an empty seed")
-    cur = 1 | seed | h.set_star(seed)
-    new = cur
-    full = h.full
-    while new and cur != full:
-        new = (h.set_product(cur, new) | h.set_product(new, cur)) & ~cur
+    cur = todo = 1 | seed | h.set_star(seed)
+    g_members = members(cur & ~1)  # e·1 = {e} adds nothing
+    table, full = h.table, h.full
+    while todo and cur != full:
+        low = todo & -todo
+        todo ^= low
+        row = table[low.bit_length() - 1]
+        new = 0
+        for g in g_members:
+            new |= row[g]
+        new &= ~cur
         cur |= new
+        todo |= new
     return cur
 
 
@@ -191,8 +205,14 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
     since x lies in F·y·F (H3, twice).  Complete, as any closed K is
     reached from a found F ⊂ K through some x in K - F, whose closure
     with F stays inside K; the 2^n subset space is never touched.
+
+    Each found F keeps the generating set it was first reached by:
+    gens[{1}] = {1}, and gens[C] = gens[F] | {x} when C is first reached
+    from F through x.  F is the closure of gens[F], so the closure of
+    gens[F] | {x} is that of F | {x}, and `generated_closure` multiplies
+    by that small set rather than by all of F.
     """
-    found = {1}
+    gens = {1: 1}
     work = [1]
     while work:
         f = work.pop()
@@ -200,11 +220,12 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
         while rest:
             x = rest & -rest
             rest &= ~h.set_product(h.set_product(f, x), f)
-            c = generated_closure(h, f | x)
-            if c not in found:
-                found.add(c)
+            seed = gens[f] | x
+            c = generated_closure(h, seed)
+            if c not in gens:
+                gens[c] = seed
                 work.append(c)
-    masks = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+    masks = tuple(sorted(gens, key=lambda m: (m.bit_count(), m)))
     return ClosedSubsetLattice(hypergroup=h, masks=masks)
 
 

@@ -13,6 +13,7 @@ import time
 import pytest
 
 import group_oracle as oracle
+from cli_env import CLI_ENV
 from hyperalg.closed import (
     all_closed_subsets,
     closed_center,
@@ -374,7 +375,7 @@ def test_criterion_8_cli_round_trip(full_corpus, tmp_path):
     r = subprocess.run(
         [sys.executable, "-m", "hyperalg.cli", "analyze", str(sample),
          "--report", "machine"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CLI_ENV)
     if r.returncode != 0:
         problems.append(f"analyze failed: {r.stderr}")
     elif r.stdout != render_machine(analyze(h, name="sample")):

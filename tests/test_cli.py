@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cli_env import CLI_ENV, SRC
 from hyperalg.cli import main
 from hyperalg.core import HypergroupError, InternalMismatch
 from hyperalg.enumeration import enumerate_hypergroups, relabel
@@ -26,9 +27,6 @@ from hyperalg.fileformat import (
 from hyperalg.groups import from_group, symmetric
 from hyperalg.report import analyze, render_machine
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
 C2_TEXT = """hypergroup v1
 name c2

@@ -128,15 +128,36 @@ def test_lattice_matches_brute_force(enum2, enum3):
         assert list(all_closed_subsets(h).masks) == brute_closed_subsets(h)
 
 
+def fixpoint_closure(h, seed):
+    """Smallest closed subset containing the seed, as the fixpoint of
+    B -> B | B·B from {identity} | seed | star(seed) (oracle)."""
+    cur = 1 | seed | h.set_star(seed)
+    new = cur
+    while new:
+        new = (h.set_product(cur, new) | h.set_product(new, cur)) & ~cur
+        cur |= new
+    return cur
+
+
+def test_generated_closure_matches_fixpoint(enum2, enum3, corpus, a5):
+    for h in list(enum2.survivors) + list(enum3.survivors):
+        for seed in range(1, h.full + 1):
+            assert generated_closure(h, seed) == fixpoint_closure(h, seed), (h.table, seed)
+    rng = random.Random(9)
+    for h in [*corpus, a5]:
+        for seed in {rng.randint(1, h.full) for _ in range(16)}:
+            assert generated_closure(h, seed) == fixpoint_closure(h, seed), (h.table, seed)
+
+
 def single_extension_lattice(h):
     """All closed subsets by closing F | {x} for every found F and every x
     outside it (oracle: about L·n closures, no double cosets)."""
-    found = {generated_closure(h, 1 << x) for x in h.elements()}
+    found = {fixpoint_closure(h, 1 << x) for x in h.elements()}
     work = list(found)
     while work:
         f = work.pop()
         for x in members(h.full & ~f):
-            c = generated_closure(h, f | (1 << x))
+            c = fixpoint_closure(h, f | (1 << x))
             if c not in found:
                 found.add(c)
                 work.append(c)
@@ -148,12 +169,12 @@ def test_lattice_matches_single_extension_sweep(corpus):
         assert list(all_closed_subsets(h).masks) == single_extension_lattice(h), h.table
 
 
-def test_lattice_closure_matches_generated_closure(corpus):
+def test_lattice_closure_matches_fixpoint_closure(corpus):
     rng = random.Random(6)
     for h in corpus:
         lat = all_closed_subsets(h)
         for seed in {rng.randint(1, h.full) for _ in range(16)}:
-            assert lat.closure(seed) == generated_closure(h, seed), (h.table, seed)
+            assert lat.closure(seed) == fixpoint_closure(h, seed), (h.table, seed)
     with pytest.raises(EmptySet):
         lat.closure(0)
 
