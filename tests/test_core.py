@@ -1,22 +1,30 @@
 import gc
 import pickle
+import random
+import weakref
+from collections import Counter
 from itertools import product
+from unittest import mock
 
 import pytest
 
 from group_oracle import is_group_check
-from hyperalg import core
+from hyperalg import core, enumeration
+from hyperalg.closed import all_closed_subsets
 from hyperalg.core import (
     AmbiguousInverse,
     AssocViolation,
     EmptyProduct,
     ExchangeViolation,
+    HypergroupError,
     IdentityViolation,
     NoInverse,
     mask_of,
     members,
     validate,
 )
+from hyperalg.groups import cyclic, direct_product, from_group
+from hyperalg.quotient import build_quotient
 from hyperalg.report import analyze
 from set_products import set_product_many
 
@@ -263,3 +271,132 @@ def test_mask_helpers():
     assert mask_of([0, 2, 5]) == 0b100101
     assert members(0b100101) == (0, 2, 5)
     assert members(0) == ()
+
+
+def triple_loop_failures(table, n):
+    """Every (i, j, k) with (ij)k != i(jk), ascending, one triple at a time
+    (oracle for the validator's slab comparison)."""
+    failures = []
+    for i in range(n):
+        row_i = table[i]
+        for j in range(n):
+            ij = row_i[j]
+            row_j = table[j]
+            for k in range(n):
+                left = 0
+                jk = row_j[k]
+                while jk:
+                    lo = jk & -jk
+                    left |= row_i[lo.bit_length() - 1]
+                    jk ^= lo
+                right = 0
+                m = ij
+                while m:
+                    lo = m & -m
+                    right |= table[lo.bit_length() - 1][k]
+                    m ^= lo
+                if left != right:
+                    failures.append((i, j, k))
+    return failures
+
+
+def outcome(order, raw, failures):
+    """(error class, witness, count) of a full validation with `failures` as
+    the associativity route, or None for a valid table.  A fresh intern store
+    makes every call run every check."""
+    with mock.patch.multiple(core, _INTERNED=weakref.WeakValueDictionary(),
+                             _associativity_failures=failures):
+        try:
+            validate(order, raw)
+        except HypergroupError as err:
+            return type(err).__name__, err.witness, err.count
+    return None
+
+
+def check_against_oracle(order, raw):
+    """The slab route lists the oracle's triples, and validate reports the
+    oracle's outcome; returns that outcome."""
+    table = tuple(tuple(row) for row in raw)
+    assert core._associativity_failures(table, order) == triple_loop_failures(table, order)
+    got = outcome(order, raw, core._associativity_failures)
+    assert got == outcome(order, raw, triple_loop_failures), table
+    return got
+
+
+def random_cell(rng, order):
+    """A nonempty cell: a singleton or a random mask, equally often."""
+    if rng.random() < 0.5:
+        return 1 << rng.randrange(order)
+    return rng.randrange(1, 1 << order)
+
+
+def random_free_cell(rng, order):
+    """A nonempty cell avoiding the identity (order >= 2)."""
+    return random_cell(rng, order) & ~1 or 1 << rng.randrange(1, order)
+
+
+def test_validate_matches_oracle_on_random_tables():
+    rng = random.Random(20261018)
+    reached = Counter()
+    for order in range(1, 8):
+        for _ in range(40):
+            # Any cells: most tables fail before associativity.
+            check_against_oracle(order, [[random_cell(rng, order) for _ in range(order)]
+                                         for _ in range(order)])
+            # Forced identity row and column and one identity-bearing cell per
+            # row along a random involution: every table reaches associativity.
+            others = list(range(1, order))
+            rng.shuffle(others)
+            sigma = list(range(order))
+            for a, b in zip(others[::2], others[1::2]):
+                sigma[a], sigma[b] = b, a
+            raw = [[1 << (i + j) if 0 in (i, j) else random_free_cell(rng, order)
+                    for j in range(order)] for i in range(order)]
+            for i in range(1, order):
+                raw[i][sigma[i]] |= 1
+            got = check_against_oracle(order, raw)
+            reached[got[0] if got else "valid"] += 1
+    assert set(reached) == {"valid", "AssocViolation", "ExchangeViolation"}
+    assert reached["AssocViolation"] > sum(reached.values()) / 2
+
+
+def test_validate_matches_oracle_on_order4_candidates(monkeypatch):
+    seen = []
+    real = enumeration.validate
+    monkeypatch.setattr(enumeration, "validate", lambda n, t: seen.append(t) or real(n, t))
+    enumeration.enumerate_hypergroups(4)
+    monkeypatch.undo()
+    outcomes = [check_against_oracle(4, t) for t in seen]
+    assert len(seen) == 1010
+    assert Counter(o and o[0] for o in outcomes) == {None: 420, "AssocViolation": 590}
+
+
+def elementary_abelian(rank):
+    table = [[0]]
+    for _ in range(rank):
+        table = direct_product(table, cyclic(2))
+    return table
+
+
+def test_validate_matches_oracle_on_quotient_tables(corpus, a5):
+    tables = {}
+    for h in [*corpus, a5, from_group(elementary_abelian(5))]:
+        for f in all_closed_subsets(h).masks:
+            q = build_quotient(h, f).induced
+            tables[q.table] = q.order
+    assert len(tables) == 487  # 458 corpus entries, a5, C2^5 and their quotients
+    for table, order in tables.items():
+        assert check_against_oracle(order, table) is None
+
+
+def test_validate_at_max_order_uses_the_top_bit():
+    c2_6 = from_group(elementary_abelian(6))
+    assert c2_6.order == core.MAX_ORDER and c2_6.table[63][0] == 1 << 63
+    assert check_against_oracle(64, c2_6.table) is None
+    raw = [list(row) for row in c2_6.table]
+    raw[63][1] |= 1 << 63
+    got = check_against_oracle(64, raw)
+    assert got == ("AssocViolation", (1, 62, 1), 250)
+    with pytest.raises(AssocViolation) as err:
+        validate(64, raw)
+    assert (err.value.witness, err.value.count) == got[1:]

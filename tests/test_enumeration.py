@@ -29,6 +29,12 @@ from naive_enumeration import naive_enumerate
 # reach) with every survivor revalidated by the full axiom checker.
 RAW_COUNTS = {2: 2, 3: 15, 4: 420}
 CANONICAL_COUNTS = {2: 2, 3: 10, 4: 102}
+# Rejects by the validator's failure class (bulk tallies included).
+REJECTS = {
+    2: {"NoInverse": 1},
+    3: {"NoInverse": 1825, "ExchangeViolation": 561},
+    4: {"NoInverse": 36816979599, "ExchangeViolation": 1626378766, "AssocViolation": 590},
+}
 
 
 def test_order2_classification(enum2):
@@ -57,6 +63,11 @@ def test_golden_counts_and_counter_identity(order, enum2, enum3, enum4):
     if result.canonical is not None:
         assert len(result.canonical) == CANONICAL_COUNTS[order]
     assert result.candidates == result.reject_total() + len(result.survivors)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_rejects_by_reason(order, enum2, enum3, enum4):
+    assert {2: enum2, 3: enum3, 4: enum4}[order].rejects == REJECTS[order]
 
 
 def test_canonicalization_idempotent(enum3, enum4):
