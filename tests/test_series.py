@@ -308,6 +308,73 @@ def test_lem_cq_witness_matches_triple_loop(thin_imports, monkeypatch):
                                       "10, 11), D (0, 4, 8)")
 
 
+PLANTED = ("d4", "q8", "d6", "c12", "a4")
+
+
+def _planted(thin_imports, monkeypatch, name, fault, sid, normal_only=True):
+    """Verdicts of `sid` on the PLANTED groups with `series.<name>` replaced
+    by `fault(original, h, *args)` on their proper quotients (over normal
+    kernels only, unless `normal_only` is false), and left alone elsewhere."""
+    original = getattr(series, name)
+    groups = {g: thin_imports[g] for g in PLANTED}
+    quotients = {build_quotient(h, f).induced
+                 for h in groups.values() for f in all_closed_subsets(h).masks
+                 if f not in (1, h.full) and (not normal_only or is_normal(h, f))}
+
+    def faulty(h, *args):
+        if h in quotients:
+            return fault(original, h, *args)
+        return original(h, *args)
+
+    monkeypatch.setattr(series, name, faulty)
+    got = {g: verify_statement(h, sid) for g, h in groups.items()}
+    return {g: v.witness if v.status == "VIOLATED" else v.status for g, v in got.items()}
+
+
+def test_prop_nq_planted_witness(thin_imports, monkeypatch):
+    """A planted fault: order-2 quotients are not nilpotent."""
+    got = _planted(thin_imports, monkeypatch, "is_nilpotent",
+                   lambda orig, h: (False, None) if h.order == 2 else orig(h), "prop-nq")
+    assert got == {"d4": "quotient over (0, 1, 2, 3) is not nilpotent",
+                   "q8": "quotient over (0, 1, 2, 3) is not nilpotent",
+                   "d6": "hypothesis-not-met",
+                   "c12": "quotient over (0, 2, 4, 6, 8, 10) is not nilpotent",
+                   "a4": "hypothesis-not-met"}
+
+
+def test_cor_n_planted_witness(thin_imports, monkeypatch):
+    """A planted fault: the lower central series of an order-2 quotient
+    stops at its first term."""
+    got = _planted(thin_imports, monkeypatch, "lower_central_series",
+                   lambda orig, h: (h.full,) if h.order == 2 else orig(h), "cor-n")
+    assert got["d4"] == "kernel (0, 1, 2, 3), term 2"
+    assert got["d6"] == "kernel (0, 1, 2, 3, 4, 5), term 2"
+    assert got["a4"] == "holds"
+
+
+def test_lem_qu_planted_witness(thin_imports, monkeypatch):
+    """A planted fault: the thin residue of an order-2 quotient is all of it."""
+    got = _planted(thin_imports, monkeypatch, "thin_residue",
+                   lambda orig, h: h.full if h.order == 2 else orig(h), "lem-qu")
+    assert got["d4"] == "kernel (0, 1, 2, 3)"
+    assert got["c12"] == "kernel (0, 2, 4, 6, 8, 10)"
+    assert got["a4"] == "holds"
+
+
+def test_lem_sn_planted_witness(thin_imports, monkeypatch):
+    """A planted fault: strong normalizers in non-thin quotients are trivial.
+    Only quotients over kernels that are not normal are non-thin, so this
+    pins that `lem-sn` visits them."""
+    got = _planted(thin_imports, monkeypatch, "strong_normalizer",
+                   lambda orig, h, f: orig(h, f) if h.is_thin() else 1, "lem-sn",
+                   normal_only=False)
+    assert got == {"d4": "kernel (0, 4), subset (0, 4)",
+                   "q8": "holds",
+                   "d6": "kernel (0, 6), subset (0, 6)",
+                   "c12": "holds",
+                   "a4": "kernel (0, 3), subset (0, 3)"}
+
+
 def test_verify_statement_catalog(s3, nonthin2, thin_imports):
     assert len(statement_ids()) == 13
     with pytest.raises(UnknownStatement):
