@@ -62,8 +62,10 @@ def generated_closure(h: Hypergroup, seed: int) -> int:
     return cur
 
 
+@memo
 def _normalized_by(h: Hypergroup, f: int, xs: int) -> bool:
-    """F·x inside x·F for every x in xs; containment forces equality."""
+    """F·x inside x·F for every x in xs; containment forces equality.
+    Memoised here, so `is_normal` (xs = H) and `normal_in` share one cache."""
     unequal = False
     for x in bits(xs):
         fx, xf = h.set_product(f, 1 << x), h.set_product(1 << x, f)
@@ -151,7 +153,6 @@ class ClosedSubsetLattice:
         """Strict supersets of f in lattice order, scanned once per f."""
         return tuple(m for m in self.masks if m != f and f & ~m == 0)
 
-    @memo
     def normal_in(self, f: int, k: int) -> bool:
         """F·x inside x·F for every x in k: f normal in the sub-hypergroup on k."""
         return _normalized_by(self.hypergroup, f, k)

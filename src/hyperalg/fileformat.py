@@ -116,7 +116,7 @@ def parse(text: str) -> tuple[str, Hypergroup]:
 
 
 def serialize(h: Hypergroup, name: str = "h") -> str:
-    if not name or any(c.isspace() for c in name):
+    if not name or "#" in name or any(c.isspace() for c in name):
         raise ValueError(f"name must be a single token, got {name!r}")
     lines = ["hypergroup v1", f"name {name}", f"order {h.order}"]
     for i in range(h.order):

@@ -12,6 +12,11 @@ RT closed subset its valency; every thin-quotient step into a subset must
 reproduce the value already recorded there, so chain independence is
 checked exactly without listing any chain.  A disagreement, or a broken
 series invariant, raises InternalMismatch because it can only mean a bug.
+
+Each kernel is worked out once per hypergroup: `_thin_steps` lists the
+strongly normal steps out of a closed subset, for `is_solvable` and the
+valencies, and `_normal_quotients` lists (F, H//F) over the normal F for
+every quotient statement but `lem-sn`, which visits every kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from hyperalg.closed import (
     strong_normalizer,
 )
 from hyperalg.core import Hypergroup, InternalMismatch, bits, members, memo
-from hyperalg.quotient import build_quotient, lift_blocks, project_subset
+from hyperalg.quotient import Quotient, build_quotient, lift_blocks, project_subset
 
 HOLDS = "holds"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
@@ -191,6 +196,14 @@ def _step_order(h: Hypergroup, f: int, k: int) -> int:
 
 
 @memo
+def _thin_steps(h: Hypergroup, f: int) -> tuple[tuple[int, int], ...]:
+    """(K, |K//F|) for every strongly normal step F ⊂ K, K in lattice order."""
+    lat = all_closed_subsets(h)
+    return tuple((k, _step_order(h, f, k)) for k in lat.supersets(f)
+                 if lat.strongly_normal_in(f, k))
+
+
+@memo
 def is_solvable(h: Hypergroup) -> tuple[bool, tuple[int, ...] | None, tuple[int, ...] | None]:
     """Search the lattice for a chain with thin quotients of prime order.
 
@@ -199,31 +212,26 @@ def is_solvable(h: Hypergroup) -> tuple[bool, tuple[int, ...] | None, tuple[int,
     order with memoised dead ends, so the witness is deterministic and a
     failure is exhaustive.
     """
-    lat = all_closed_subsets(h)
     dead: set[int] = set()
 
-    def extend(f: int) -> list[int] | None:
+    def extend(f: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         if f == h.full:
-            return [f]
+            return (f,), ()
         if f in dead:
             return None
-        for k in lat.supersets(f):
-            if not lat.strongly_normal_in(f, k):
-                continue
-            n = _step_order(h, f, k)
+        for k, n in _thin_steps(h, f):
             if _prime_factors(n) != (n,):
                 continue
             tail = extend(k)
             if tail is not None:
-                return [f] + tail
+                return (f, *tail[0]), (n, *tail[1])
         dead.add(f)
         return None
 
-    chain = extend(1)
-    if chain is None:
+    found = extend(1)
+    if found is None:
         return False, None, None
-    orders = tuple(_step_order(h, f, k) for f, k in zip(chain, chain[1:]))
-    return True, tuple(chain), orders
+    return True, *found
 
 
 @memo
@@ -238,15 +246,12 @@ def _valencies(h: Hypergroup) -> dict[int, int]:
     known when C is reached.  Every step must reproduce the value already
     recorded for its target: chain independence is checked, not assumed.
     """
-    lat = all_closed_subsets(h)
     val = {1: 1}
-    for f in lat.masks:
+    for f in all_closed_subsets(h).masks:
         if f not in val:
             continue
-        for k in lat.supersets(f):
-            if not lat.strongly_normal_in(f, k):
-                continue
-            v = val[f] * _step_order(h, f, k)
+        for k, n in _thin_steps(h, f):
+            v = val[f] * n
             if val.setdefault(k, v) != v:
                 raise InternalMismatch(
                     f"valency of {members(k)} is chain dependent: {val[k]} vs {v}")
@@ -358,15 +363,23 @@ def _check_prop_s(h: Hypergroup, sid: str) -> Verdict:
     return _holds(sid)
 
 
+@memo
+def _normal_quotients(h: Hypergroup) -> tuple[tuple[int, Quotient], ...]:
+    """(F, H//F) for every normal closed F, in lattice order.
+
+    1 is in F, so X <= X·F <= the union of the blocks FxF meeting X: X·F
+    and X project alike, and `project_subset(q, X)` is the image X·F/F.
+    """
+    return tuple((f, build_quotient(h, f)) for f in all_closed_subsets(h).masks
+                 if is_normal(h, f))
+
+
 def _check_prop_nq(h: Hypergroup, sid: str) -> Verdict:
     if not is_nilpotent(h)[0]:
         return _skip(sid, "not nilpotent")
-    for m in all_closed_subsets(h).masks:
-        if not is_normal(h, m):
-            continue
-        q = build_quotient(h, m)
+    for f, q in _normal_quotients(h):
         if not is_nilpotent(q.induced)[0]:
-            return _violated(sid, f"quotient over {members(m)} is not nilpotent")
+            return _violated(sid, f"quotient over {members(f)} is not nilpotent")
     return _holds(sid)
 
 
@@ -381,11 +394,7 @@ def _check_lem_cq(h: Hypergroup, sid: str) -> Verdict:
     masks = all_closed_subsets(h).masks
     where = {m: i for i, m in enumerate(masks)}
     rows = [itemgetter(*(where[commutator_subset(h, c, d)] for d in masks)) for c in masks]
-    for f in masks:
-        if not is_normal(h, f):
-            continue
-        q = build_quotient(h, f)
-        # 1 in F, so X <= X·F <= union of FxF: X·F and X project alike.
+    for f, q in _normal_quotients(h):
         proj = [project_subset(q, m) for m in masks]
         at = {p: i for i, p in enumerate(dict.fromkeys(proj))}
         spread = itemgetter(*(at[p] for p in proj))
@@ -408,14 +417,10 @@ def _series_term(series: tuple[int, ...], s: int) -> int:
 
 def _check_cor_n(h: Hypergroup, sid: str) -> Verdict:
     base = lower_central_series(h)
-    for f in all_closed_subsets(h).masks:
-        if not is_normal(h, f):
-            continue
-        q = build_quotient(h, f)
+    for f, q in _normal_quotients(h):
         quo = lower_central_series(q.induced)
         for s in range(1, max(len(base), len(quo)) + 2):
             lhs = _series_term(quo, s)
-            # 1 in F, so X <= X·F <= union of FxF: X·F and X project alike.
             rhs = project_subset(q, _series_term(base, s))
             if lhs != rhs:
                 return _violated(sid, f"kernel {members(f)}, term {s}")
@@ -435,11 +440,7 @@ def _check_lem_cen(h: Hypergroup, sid: str) -> Verdict:
 
 def _check_lem_qu(h: Hypergroup, sid: str) -> Verdict:
     res = thin_residue(h)
-    for f in all_closed_subsets(h).masks:
-        if not is_normal(h, f):
-            continue
-        q = build_quotient(h, f)
-        # 1 in F, so X <= X·F <= union of FxF: X·F and X project alike.
+    for f, q in _normal_quotients(h):
         lhs = project_subset(q, res)
         rhs = thin_residue(q.induced)
         if lhs != rhs:
@@ -450,10 +451,8 @@ def _check_lem_qu(h: Hypergroup, sid: str) -> Verdict:
 def _check_lem_sn(h: Hypergroup, sid: str) -> Verdict:
     lat = all_closed_subsets(h)
     for k in lat.masks:
-        for f in lat.masks:
-            if k & ~f:
-                continue
-            q = build_quotient(h, k)
+        q = build_quotient(h, k)
+        for f in (k, *lat.supersets(k)):
             pf = project_subset(q, f)
             if not is_closed(q.induced, pf):
                 raise InternalMismatch(f"projection of {members(f)} over "

@@ -62,6 +62,13 @@ def test_parse_serialize_identity():
     assert h2.table == h.table
 
 
+def test_serialize_rejects_names_that_do_not_round_trip():
+    _, h = parse(C2_TEXT)
+    for bad in ("", "a b", "a\tb", "a#b", "#"):
+        with pytest.raises(ValueError, match="single token"):
+            serialize(h, name=bad)
+
+
 def test_parse_tolerates_comments_and_ordering():
     scrambled = """# a comment
 hypergroup v1
