@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hyperalg.core import Hypergroup, InternalMismatch, bits, members, memo
+from hyperalg.core import Hypergroup, InternalMismatch, bits, mask_of, members, memo, union_over
+
+LANE = (1 << 64) - 1  # one 64-bit lane of a packed row or column
 
 
 class EmptySet(Exception):
@@ -66,12 +68,12 @@ def generated_closure(h: Hypergroup, seed: int) -> int:
 def _normalized_by(h: Hypergroup, f: int, xs: int) -> bool:
     """F·x inside x·F for every x in xs; containment forces equality.
     Memoised here, so `is_normal` (xs = H) and `normal_in` share one cache."""
+    fx, xf = h.left_products(f), h.right_products(f)
     unequal = False
     for x in bits(xs):
-        fx, xf = h.set_product(f, 1 << x), h.set_product(1 << x, f)
-        if fx & ~xf:
+        if fx[x] & ~xf[x]:
             return False
-        unequal |= fx != xf
+        unequal |= fx[x] != xf[x]
     if unequal:
         raise InternalMismatch(f"F·x inside x·F but not equal for F = {members(f)}")
     return True
@@ -88,13 +90,11 @@ def is_strongly_normal(h: Hypergroup, f: int) -> bool:
 
 
 def centralizer(h: Hypergroup, f: int) -> int:
-    """Elements commuting with every member of f (all of H when f is empty)."""
-    out = 0
-    fm = members(f)
-    for x in h.elements():
-        if all(h.commutes(x, y) for y in fm):
-            out |= 1 << x
-    return out
+    """Elements commuting with every member of f (all of H when f is empty):
+    the x whose packed row and column agree on the lanes of f's members."""
+    lanes = sum(LANE << 64 * y for y in bits(f))
+    rows, cols = h.packed_rows, h.packed_cols
+    return mask_of(x for x in h.elements() if not (rows[x] ^ cols[x]) & lanes)
 
 
 def center(h: Hypergroup) -> int:
@@ -118,13 +118,14 @@ def closed_center(h: Hypergroup) -> int:
 
 @memo
 def strong_normalizer(h: Hypergroup, f: int) -> int:
-    """All x with star(x)·F·x inside F.  Not closed in general."""
-    out = 0
-    for x in h.elements():
-        conj = h.set_product(h.set_product(1 << h.star[x], f), 1 << x)
-        if not conj & ~f:
-            out |= 1 << x
-    return out
+    """All x with star(x)·F·x inside F.  Not closed in general.
+
+    By H3, z lies in a·x iff a lies in z·star(x), so with y = star(x),
+    star(x)·F·x leaves F exactly when y·F meets (H - F)·y: lane y of the
+    vector products x·F and (H - F)·x.
+    """
+    yf, outside = h.right_products(f), h.left_products(h.full & ~f)
+    return mask_of(h.star[y] for y in h.elements() if not yf[y] & outside[y])
 
 
 @dataclass
@@ -217,10 +218,11 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
     work = [1]
     while work:
         f = work.pop()
+        fx, xf = h.left_products(f), h.right_products(f)
         rest = h.full & ~f
         while rest:
             x = rest & -rest
-            rest &= ~h.set_product(h.set_product(f, x), f)
+            rest &= ~union_over(xf, fx[x.bit_length() - 1])  # FxF, the OR of y·F over y in F·x
             seed = gens[f] | x
             c = generated_closure(h, seed)
             if c not in gens:

@@ -14,8 +14,9 @@ A table is valid when
 
 where p* is the inverse partner derived from the table: the unique q
 with 1 in pq.  The left-identity row and the involutivity of * are
-consequences of H2/H3 and are checked, never trusted.  H1 is compared one
-n×n slab per middle element q at a time, as packed 64-bit cells.
+consequences of H2/H3 and are checked, never trusted.  Each hypergroup
+packs its rows and columns once into 64-bit lanes; the vector products
+and the H1 check, one n×n slab per middle element, read that packing.
 
 Valid hypergroups are interned by table: validating a table seen before
 returns the existing instance, so everything memoised on it (see
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Iterable, Iterator, Sequence
 
@@ -75,6 +76,20 @@ def bits(mask: int) -> Iterator[int]:
 
 def members(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
+
+
+def union_over(vectors: Sequence[int], mask: int) -> int:
+    """OR of ``vectors[i]`` over the members i of a mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= vectors[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _packed(lines: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    return tuple([int.from_bytes(array("Q", cells), "little") for cells in lines])
 
 
 class InternalMismatch(Exception):
@@ -147,8 +162,16 @@ class Hypergroup:
     order: int
     table: tuple[tuple[int, ...], ...]
     star: tuple[int, ...]
+    # Row a, column b as one int of 64-bit lanes: lane x holds a·x, x·b.
+    packed_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    packed_cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     identity = 0
+
+    def __post_init__(self) -> None:
+        rows, cols = _packed(self.table), tuple(zip(*self.table))
+        object.__setattr__(self, "packed_rows", rows)
+        object.__setattr__(self, "packed_cols", rows if cols == self.table else _packed(cols))
 
     def __hash__(self) -> int:
         return self._hash
@@ -183,6 +206,14 @@ class Hypergroup:
                 acc |= row[lo2.bit_length() - 1]
                 qq ^= lo2
         return acc
+
+    def left_products(self, p: int) -> array:
+        """p·x for every element x: the OR of the packed rows of p's members."""
+        return array("Q", union_over(self.packed_rows, p).to_bytes(8 * self.order, "little"))
+
+    def right_products(self, p: int) -> array:
+        """x·p for every element x: the OR of the packed columns of p's members."""
+        return array("Q", union_over(self.packed_cols, p).to_bytes(8 * self.order, "little"))
 
     def set_star(self, s: int) -> int:
         acc = 0
@@ -222,25 +253,20 @@ def _as_mask(cell, order: int) -> int:
     return m
 
 
-def _associativity_failures(table, n: int) -> list[tuple[int, int, int]]:
+def _associativity_failures(h: Hypergroup) -> list[tuple[int, int, int]]:
     """Every (i, j, k) with (ij)k != i(jk), ascending.
 
-    Cells are packed 64 bits each.  For each j the n×n slab (ij)k is joined
-    from the OR of the rows in each cell ij, and i(jk) from the OR of the
-    columns in each cell jk; the slabs are compared as bytes, and only the
-    cells of a differing slab that differ are listed.
+    For each j the n×n slab (ij)k is joined from the OR of h's packed rows
+    in each cell ij, and i(jk) from the OR of its packed columns in each
+    cell jk; the slabs are compared as bytes, and only the cells of a
+    differing slab that differ are listed.
     """
-    width = 8 * n
-    rows = [int.from_bytes(array("Q", row), "little") for row in table]
-    cols = [int.from_bytes(array("Q", col), "little") for col in zip(*table)]
-    row_or, col_or = {}, {}  # cell mask c -> c·k over k, i·c over i
-    for c in {cell for row in table for cell in row}:
-        r = k = 0
-        for x in bits(c):
-            r |= rows[x]
-            k |= cols[x]
-        row_or[c] = r.to_bytes(width, "little")
-        col_or[c] = k.to_bytes(width, "little")
+    table, n, width = h.table, h.order, 8 * h.order
+    rows, cols = h.packed_rows, h.packed_cols
+    cells = {cell for row in table for cell in row}
+    row_or = {c: union_over(rows, c).to_bytes(width, "little") for c in cells}  # c·k over k
+    col_or = row_or if cols is rows else {  # i·c over i
+        c: union_over(cols, c).to_bytes(width, "little") for c in cells}
     failures = []
     for j in range(n):
         left = b"".join([row_or[row[j]] for row in table])  # (ij)k at i·n + k
@@ -263,8 +289,8 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
     associativity, exchange) and the first failing check raises with its
     first witness plus the count of all violations of that check; for
     associativity that is the smallest failing (i, j, k), found one slab
-    per j in O(n²) memory besides a packed row and column per distinct
-    cell mask (see :func:`_associativity_failures`).  A table
+    per j in O(n²) memory besides an OR of packed rows and of columns per
+    distinct cell mask (see :func:`_associativity_failures`).  A table
     that passed before returns its interned instance without re-checking;
     an invalid table is never stored, so it raises on every call.
     """
@@ -275,7 +301,9 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
     if len(raw_table) != order or any(len(row) != order for row in raw_table):
         raise ValueError("table must be square of side `order`")
 
-    table = tuple(tuple(_as_mask(cell, order) for cell in row) for row in raw_table)
+    shared: dict[int, int] = {}  # equal cells share one int: n per group table, not n²
+    table = tuple(tuple([shared.setdefault(m, m) for m in [_as_mask(c, order) for c in row]])
+                  for row in raw_table)
     known = _INTERNED.get(table)
     if known is not None:
         return known
@@ -306,7 +334,7 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
 
     h = Hypergroup(order=order, table=table, star=tuple(star))
 
-    assoc_bad = _associativity_failures(table, order)
+    assoc_bad = _associativity_failures(h)
     if assoc_bad:
         raise AssocViolation(*assoc_bad[0], count=len(assoc_bad))
 

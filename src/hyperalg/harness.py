@@ -74,11 +74,12 @@ def run_harness(corpus, statements=None) -> HarnessReport:
     """Run every requested statement check over every corpus member.
 
     A VIOLATED verdict never raises here; it is tallied with its witness
-    so the caller can fail loudly with the full picture.
+    so the caller can fail loudly with the full picture.  A statement
+    named twice runs once, at its first place.
     """
     if statements is None:
         statements = statement_ids()
-    statements = tuple(statements)
+    statements = tuple(dict.fromkeys(statements))
     report = HarnessReport(statements=statements, corpus_size=len(corpus))
     for entry in corpus:
         for sid in statements:

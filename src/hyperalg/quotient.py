@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from hyperalg.closed import is_closed, is_strongly_normal
-from hyperalg.core import Hypergroup, InternalMismatch, bits, memo, validate
+from hyperalg.core import Hypergroup, InternalMismatch, bits, memo, union_over, validate
 
 
 class NotClosed(Exception):
@@ -46,13 +46,14 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     if f == 0 or not is_closed(h, f):
         raise NotClosed(f"kernel {sorted(bits(f))} is not a closed subset")
 
+    fx, xf = h.left_products(f), h.right_products(f)
     blocks: list[int] = []
     block_of = [-1] * h.order
     seen = 0
     for x in h.elements():
         if (seen >> x) & 1:
             continue
-        b = double_coset(h, x, f)
+        b = union_over(xf, fx[x])  # FxF, the OR of y·F over y in F·x
         if b & seen:
             raise InternalMismatch("double cosets failed to partition")
         for y in bits(b):
@@ -62,19 +63,13 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     if seen != h.full or blocks[0] != f:
         raise InternalMismatch("double cosets must cover the base, kernel first")
 
-    reps = [b & -b for b in blocks]  # smallest member of each block, as a mask
+    reps = [(b & -b).bit_length() - 1 for b in blocks]  # smallest member of each block
+    block_bit = [1 << i for i in block_of]
     nb = len(blocks)
     table = []
     for a in reps:
-        fa = h.set_product(a, f)
-        row = []
-        for b in reps:
-            prod = h.set_product(fa, b)
-            cell = 0
-            for x in bits(prod):
-                cell |= 1 << block_of[x]
-            row.append(cell)
-        table.append(row)
+        afx = h.left_products(xf[a])  # (a·F)·x for every x
+        table.append([union_over(block_bit, afx[b]) for b in reps])
     induced = validate(nb, table)
 
     # Blockwise star transport: the star of a block is the block of the star.

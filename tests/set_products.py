@@ -7,3 +7,13 @@ def set_product_many(h, *sets: int) -> int:
     for s in sets[1:]:
         acc = h.set_product(acc, s)
     return acc
+
+
+def left_products_by_element(h, p: int) -> list[int]:
+    """p·x for every element x, one set product each (oracle for `left_products`)."""
+    return [h.set_product(p, 1 << x) for x in h.elements()]
+
+
+def right_products_by_element(h, p: int) -> list[int]:
+    """x·p for every element x, one set product each (oracle for `right_products`)."""
+    return [h.set_product(1 << x, p) for x in h.elements()]

@@ -200,6 +200,14 @@ def test_verify_command(capsys):
     assert "statement thm-center:" in out and "violations = 0" in out
 
 
+def test_verify_repeated_statement_runs_once(capsys):
+    assert main(["verify", "--order", "3", "--statements", "lem-cq"]) == 0
+    once = capsys.readouterr().out
+    assert main(["verify", "--order", "3", "--statements", "lem-cq,lem-cq"]) == 0
+    assert capsys.readouterr().out == once
+    assert once.count("statement lem-cq:") == 1
+
+
 def test_console_script_analyze(s3_file, s3):
     """The installed entry point runs and prints the in-process report."""
     r = subprocess.run(
@@ -233,6 +241,22 @@ def _src_nodes():
 def test_no_assert_statement_in_src():
     """`python -O` drops asserts, so no result may rest on one."""
     assert [where for where, node in _src_nodes() if isinstance(node, ast.Assert)] == []
+
+
+def _src_imports():
+    """(file:line, module) for every import in `src/hyperalg/*.py`."""
+    for where, node in _src_nodes():
+        if isinstance(node, ast.Import):
+            yield from ((where, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield where, "hyperalg" if node.level else node.module
+
+
+def test_src_imports_only_stdlib():
+    """hyperalg runs on the standard library alone."""
+    allowed = {"hyperalg", *sys.stdlib_module_names}
+    assert [(where, name) for where, name in _src_imports()
+            if name.split(".")[0] not in allowed] == []
 
 
 def test_no_environment_read_in_src():

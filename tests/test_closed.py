@@ -220,6 +220,32 @@ def test_centralizer(s3, thin_imports, group_tables):
     assert set(members(center(s3))) == set(want)
 
 
+def centralizer_by_pairs(h, f):
+    """Elements commuting with every member of f, pair by pair (oracle)."""
+    return mask_of(x for x in h.elements() if all(h.commutes(x, y) for y in members(f)))
+
+
+def test_centralizer_matches_pair_loop(corpus, a5):
+    rng = random.Random(20261018)
+    for h in [*corpus, a5]:
+        subsets = {0, h.full, *all_closed_subsets(h).masks,
+                   *(rng.randrange(1, h.full + 1) for _ in range(4))}
+        for f in subsets:
+            assert centralizer(h, f) == centralizer_by_pairs(h, f), (h.table, f)
+
+
+def test_strong_normalizer_matches_conjugation_loop(corpus, a5):
+    """star(x)·F·x inside F, written out, for closed and for random F."""
+    rng = random.Random(20261018)
+    for h in [*corpus, a5]:
+        subsets = {h.full, *all_closed_subsets(h).masks,
+                   *(rng.randrange(1, h.full + 1) for _ in range(4))}
+        for f in subsets:
+            want = mask_of(x for x in h.elements()
+                           if not set_product_many(h, 1 << h.star[x], f, 1 << x) & ~f)
+            assert strong_normalizer(h, f) == want, (h.table, f)
+
+
 def test_centralizer_symmetry(small_corpus):
     for h in small_corpus:
         if h.order > 4:

@@ -23,10 +23,10 @@ from hyperalg.core import (
     members,
     validate,
 )
-from hyperalg.groups import cyclic, direct_product, from_group
+from hyperalg.groups import cyclic, dihedral, direct_product, from_group
 from hyperalg.quotient import build_quotient
 from hyperalg.report import analyze
-from set_products import set_product_many
+from set_products import left_products_by_element, right_products_by_element, set_product_many
 
 C2 = [[1, 2], [2, 1]]
 NONTHIN2 = [[1, 2], [2, 3]]
@@ -273,9 +273,10 @@ def test_mask_helpers():
     assert members(0) == ()
 
 
-def triple_loop_failures(table, n):
+def triple_loop_failures(h):
     """Every (i, j, k) with (ij)k != i(jk), ascending, one triple at a time
     (oracle for the validator's slab comparison)."""
+    table, n = h.table, h.order
     failures = []
     for i in range(n):
         row_i = table[i]
@@ -317,7 +318,8 @@ def check_against_oracle(order, raw):
     """The slab route lists the oracle's triples, and validate reports the
     oracle's outcome; returns that outcome."""
     table = tuple(tuple(row) for row in raw)
-    assert core._associativity_failures(table, order) == triple_loop_failures(table, order)
+    unchecked = core.Hypergroup(order=order, table=table, star=(0,) * order)
+    assert core._associativity_failures(unchecked) == triple_loop_failures(unchecked)
     got = outcome(order, raw, core._associativity_failures)
     assert got == outcome(order, raw, triple_loop_failures), table
     return got
@@ -400,3 +402,14 @@ def test_validate_at_max_order_uses_the_top_bit():
     with pytest.raises(AssocViolation) as err:
         validate(64, raw)
     assert (err.value.witness, err.value.count) == got[1:]
+
+
+def test_vector_products_match_set_products(corpus, a5):
+    """p·x and x·p for every x, one packed OR chain each, against one set
+    product per x; C2^6 and D32 use lane 63, D32 and a5 do not commute."""
+    rng = random.Random(20261018)
+    top = [from_group(elementary_abelian(6)), from_group(dihedral(32))]
+    for h in [*corpus, a5, *top]:
+        for p in (0, 1, h.full, *(rng.randrange(1, h.full + 1) for _ in range(3))):
+            assert list(h.left_products(p)) == left_products_by_element(h, p), (h.table, p)
+            assert list(h.right_products(p)) == right_products_by_element(h, p), (h.table, p)

@@ -21,6 +21,19 @@ def test_double_coset_examples(s3):
     assert double_coset(s3, 1, A3) == mask_of([1, 2, 5])  # the transpositions
 
 
+def test_quotient_matches_set_product_route(corpus, a5):
+    """Blocks are the double cosets F·x·F, and block i times block j is the
+    set of blocks meeting rep_i·F·rep_j, both by chained set products."""
+    for h in [*corpus, a5]:
+        for f in all_closed_subsets(h).masks:
+            q = build_quotient(h, f)
+            assert q.blocks == tuple(dict.fromkeys(double_coset(h, x, f) for x in h.elements()))
+            reps = [b & -b for b in q.blocks]
+            assert q.induced.table == tuple(
+                tuple(project_subset(q, set_product_many(h, a, f, b)) for b in reps)
+                for a in reps), (h.table, f)
+
+
 def test_quotient_by_full_is_trivial(s3):
     q = build_quotient(s3, s3.full)
     assert len(q) == 1 and q.induced.order == 1
