@@ -41,7 +41,6 @@ from hyperalg.quotient import (
     NotClosed,
     Quotient,
     build_quotient,
-    double_coset,
     lift_blocks,
     project_subset,
     quotient_is_thin,
@@ -76,7 +75,7 @@ __all__ = [
     "all_closed_subsets", "analyze", "bits", "build_corpus", "build_quotient",
     "builtin_groups", "canonical_representatives", "center", "centralizer",
     "closed_center", "closed_center_series", "commutator_elements",
-    "commutator_subset", "double_coset", "enumerate_hypergroups", "from_group",
+    "commutator_subset", "enumerate_hypergroups", "from_group",
     "generated_closure", "inv_hypercenter", "is_closed", "is_nilpotent", "is_normal", "is_solvable", "is_strongly_normal",
     "lift_blocks", "lower_central_series", "mask_of", "maximal_closed_subsets",
     "members", "project_subset", "quotient_is_thin",

@@ -107,10 +107,7 @@ def closed_center(h: Hypergroup) -> int:
     Always a normal closed subset; that fact is checked, not assumed.
     """
     z = center(h)
-    out = 0
-    for x in bits(z):
-        if (z >> h.star[x]) & 1:
-            out |= 1 << x
+    out = z & h.set_star(z)  # star is an involution: x and star(x) both in z
     if not (is_closed(h, out) and is_normal(h, out)):
         raise InternalMismatch(f"closed center {members(out)} is not normal and closed")
     return out

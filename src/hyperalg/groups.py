@@ -1,15 +1,16 @@
 """Cayley tables of small groups and their import as thin hypergroups.
 
 Tables are lists of rows of element indices with the identity at index 0.
-Every bundled table is checked by the same group validator that guards
-user-supplied input, so a typo here cannot survive the test suite.
+Bundled and user-supplied tables alike are checked by the hypergroup
+validator, which is a group checker on singleton cells, so a typo here
+cannot survive the test suite.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from hyperalg.core import Hypergroup, InternalMismatch, validate
+from hyperalg.core import Hypergroup, HypergroupError, InternalMismatch, validate
 
 
 class NotAGroup(Exception):
@@ -18,34 +19,22 @@ class NotAGroup(Exception):
         super().__init__(reason)
 
 
-def check_group_table(table: list[list[int]]) -> None:
-    """Raise NotAGroup unless `table` is a group table with identity 0."""
+def from_group(table: list[list[int]]) -> Hypergroup:
+    """Import a Cayley table as the thin hypergroup with singleton products.
+
+    On singleton cells H1-H3 are exactly the group axioms with identity 0,
+    so the hypergroup validator is the group checker: its failures, and
+    entries outside 0..n-1, raise NotAGroup.
+    """
     n = len(table)
-    if n == 0 or any(len(row) != n for row in table):
-        raise NotAGroup("table is not square")
     for row in table:
         for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise NotAGroup(f"entry {v!r} out of range")
-    for i in range(n):
-        if table[i][0] != i or table[0][i] != i:
-            raise NotAGroup(f"index 0 is not an identity at element {i}")
-    for i in range(n):
-        if 0 not in table[i]:
-            raise NotAGroup(f"element {i} has no inverse")
-    for i in range(n):
-        for j in range(n):
-            tij = table[i][j]
-            for k in range(n):
-                if table[tij][k] != table[i][table[j][k]]:
-                    raise NotAGroup(f"associativity fails at ({i},{j},{k})")
-
-
-def from_group(table: list[list[int]]) -> Hypergroup:
-    """Import a Cayley table as the thin hypergroup with singleton products."""
-    check_group_table(table)
-    n = len(table)
-    h = validate(n, [[1 << table[i][j] for j in range(n)] for i in range(n)])
+    try:
+        h = validate(n, [[1 << v for v in row] for row in table])
+    except (HypergroupError, ValueError) as err:
+        raise NotAGroup(str(err)) from err
     if not h.is_thin():
         raise InternalMismatch("a group table imported as a non-thin hypergroup")
     return h

@@ -19,10 +19,6 @@ class NotClosed(Exception):
     """Raised when a quotient kernel fails the closedness test."""
 
 
-def double_coset(h: Hypergroup, x: int, f: int) -> int:
-    return h.set_product(h.set_product(f, 1 << x), f)
-
-
 @dataclass(frozen=True)
 class Quotient:
     base: Hypergroup
@@ -90,10 +86,7 @@ def project_subset(q: Quotient, s: int) -> int:
 
 def lift_blocks(q: Quotient, bmask: int) -> int:
     """Union of the member blocks, as an element set of the base."""
-    out = 0
-    for i in bits(bmask):
-        out |= q.blocks[i]
-    return out
+    return union_over(q.blocks, bmask)
 
 
 def quotient_is_thin(q: Quotient) -> bool:

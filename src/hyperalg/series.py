@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Callable
 
 from hyperalg.closed import (
     EmptySet,
     all_closed_subsets,
+    centralizer,
     closed_center,
     generated_closure,
     is_closed,
@@ -294,6 +296,10 @@ def rt_analysis(h: Hypergroup) -> RTReport:
 
 
 # --- statement verification -------------------------------------------------
+#
+# A hypothesis returns why it fails, or None when it is met; a check returns
+# its first witness, or None when the statement holds.  Only
+# `verify_statement` turns those into a Verdict.
 
 @dataclass(frozen=True)
 class Verdict:
@@ -302,65 +308,54 @@ class Verdict:
     witness: str | None = None
 
 
-def _holds(sid: str) -> Verdict:
-    return Verdict(sid, HOLDS)
+def _nilpotent(h: Hypergroup) -> str | None:
+    return None if is_nilpotent(h)[0] else "not nilpotent"
 
 
-def _skip(sid: str, why: str) -> Verdict:
-    return Verdict(sid, HYPOTHESIS_NOT_MET, why)
+def _full_hypercenter(h: Hypergroup) -> str | None:
+    return None if inv_hypercenter(h) == h.full else "hypercenter never reaches the whole set"
 
 
-def _violated(sid: str, witness: str) -> Verdict:
-    return Verdict(sid, VIOLATED, witness)
+def _check_thm_center(h: Hypergroup) -> str | None:
+    """Nilpotent implies the closed center series reaches the whole set."""
+    top = inv_hypercenter(h)
+    return None if top == h.full else f"hypercenter stalls at {members(top)}"
 
 
-def _check_thm_center(h: Hypergroup, sid: str) -> Verdict:
-    nil, _ = is_nilpotent(h)
-    if not nil:
-        return _skip(sid, "not nilpotent")
-    if inv_hypercenter(h) == h.full:
-        return _holds(sid)
-    return _violated(sid, f"hypercenter stalls at {members(inv_hypercenter(h))}")
-
-
-def _check_thm_ct(h: Hypergroup, sid: str) -> Verdict:
-    if inv_hypercenter(h) != h.full:
-        return _skip(sid, "hypercenter never reaches the whole set")
+def _check_thm_ct(h: Hypergroup) -> str | None:
+    """A full hypercenter forces the thin-residue quotient to be nilpotent."""
     q = build_quotient(h, thin_residue(h))
     if is_nilpotent(q.induced)[0]:
-        return _holds(sid)
-    return _violated(sid, "quotient over the thin residue is not nilpotent")
+        return None
+    return "quotient over the thin residue is not nilpotent"
 
 
-def _check_thm_strongly(h: Hypergroup, sid: str) -> Verdict:
-    if not is_nilpotent(h)[0]:
-        return _skip(sid, "not nilpotent")
+def _check_thm_strongly(h: Hypergroup) -> str | None:
+    """In a nilpotent hypergroup every nontrivial closed subset is strongly
+    subnormal."""
     lat = all_closed_subsets(h)
     for m in lat.masks:
         if m != 1 and not lat.is_strongly_subnormal(m):
-            return _violated(sid, f"closed subset {members(m)} not strongly subnormal")
-    return _holds(sid)
+            return f"closed subset {members(m)} not strongly subnormal"
+    return None
 
 
-def _check_thm_ns(h: Hypergroup, sid: str) -> Verdict:
-    if not is_nilpotent(h)[0]:
-        return _skip(sid, "not nilpotent")
-    ok, _chain, _orders = is_solvable(h)
-    if ok:
-        return _holds(sid)
-    return _violated(sid, "no solvability chain exists")
+def _check_thm_ns(h: Hypergroup) -> str | None:
+    """Nilpotent implies solvable."""
+    return None if is_solvable(h)[0] else "no solvability chain exists"
 
 
-def _check_prop_s(h: Hypergroup, sid: str) -> Verdict:
-    """Every closed subset C is nilpotent: its lower central series, taken
-    on h's table (`_lower_central`), reaches the trivial subset.  The
-    witness is the first member in lattice order that is not."""
-    if not is_nilpotent(h)[0]:
-        return _skip(sid, "not nilpotent")
+def _check_prop_s(h: Hypergroup) -> str | None:
+    """Closed subsets of a nilpotent hypergroup are nilpotent.
+
+    Every closed subset C is nilpotent: its lower central series, taken on
+    h's table (`_lower_central`), reaches the trivial subset.  The witness
+    is the first member in lattice order that is not.
+    """
     for m in all_closed_subsets(h).masks:
         if _lower_central(h, m)[-1] != 1:
-            return _violated(sid, f"closed subset {members(m)} is not nilpotent")
-    return _holds(sid)
+            return f"closed subset {members(m)} is not nilpotent"
+    return None
 
 
 @memo
@@ -374,18 +369,19 @@ def _normal_quotients(h: Hypergroup) -> tuple[tuple[int, Quotient], ...]:
                  if is_normal(h, f))
 
 
-def _check_prop_nq(h: Hypergroup, sid: str) -> Verdict:
-    if not is_nilpotent(h)[0]:
-        return _skip(sid, "not nilpotent")
+def _check_prop_nq(h: Hypergroup) -> str | None:
+    """Quotients of a nilpotent hypergroup over normal closed subsets are
+    nilpotent."""
     for f, q in _normal_quotients(h):
         if not is_nilpotent(q.induced)[0]:
-            return _violated(sid, f"quotient over {members(f)} is not nilpotent")
-    return _holds(sid)
+            return f"quotient over {members(f)} is not nilpotent"
+    return None
 
 
-def _check_lem_cq(h: Hypergroup, sid: str) -> Verdict:
-    """[C, D] projects onto [CF/F, DF/F] for every normal F, closed C and D.
+def _check_lem_cq(h: Hypergroup) -> str | None:
+    """Commutators commute with quotients.
 
+    [C, D] projects onto [CF/F, DF/F] for every normal F, closed C and D.
     [C, D] is indexed by lattice position once; per F, quotient commutators
     are taken over distinct projections only, and C's row over every D is
     one tuple (a scalar on a one-member lattice).  The witness is the first
@@ -405,9 +401,8 @@ def _check_lem_cq(h: Hypergroup, sid: str) -> Verdict:
                 d = next(d for d, pd in zip(masks, proj)
                          if commutator_subset(q.induced, pc, pd)
                          != proj[where[commutator_subset(h, c, d)]])
-                return _violated(
-                    sid, f"kernel {members(f)}, C {members(c)}, D {members(d)}")
-    return _holds(sid)
+                return f"kernel {members(f)}, C {members(c)}, D {members(d)}"
+    return None
 
 
 def _series_term(series: tuple[int, ...], s: int) -> int:
@@ -415,40 +410,46 @@ def _series_term(series: tuple[int, ...], s: int) -> int:
     return series[min(s - 1, len(series) - 1)]
 
 
-def _check_cor_n(h: Hypergroup, sid: str) -> Verdict:
+def _check_cor_n(h: Hypergroup) -> str | None:
+    """Lower central terms of a quotient are the pushed-forward terms."""
     base = lower_central_series(h)
     for f, q in _normal_quotients(h):
         quo = lower_central_series(q.induced)
         for s in range(1, max(len(base), len(quo)) + 2):
-            lhs = _series_term(quo, s)
-            rhs = project_subset(q, _series_term(base, s))
-            if lhs != rhs:
-                return _violated(sid, f"kernel {members(f)}, term {s}")
-    return _holds(sid)
+            if _series_term(quo, s) != project_subset(q, _series_term(base, s)):
+                return f"kernel {members(f)}, term {s}"
+    return None
 
 
-def _check_lem_cen(h: Hypergroup, sid: str) -> Verdict:
+def _check_lem_cen(h: Hypergroup) -> str | None:
+    """A trivial commutator subset forces elementwise commuting.
+
+    Every closed F with [H, F] = 1 must have all of H as its centralizer.
+    The witness is the least x outside it and the first member of F that
+    x does not commute with.
+    """
     for f in all_closed_subsets(h).masks:
         if commutator_subset(h, h.full, f) != 1:
             continue
-        for x in h.elements():
-            for y in bits(f):
-                if not h.commutes(x, y):
-                    return _violated(sid, f"subset {members(f)}, pair ({x},{y})")
-    return _holds(sid)
+        outside = h.full & ~centralizer(h, f)
+        if outside:
+            x = (outside & -outside).bit_length() - 1
+            y = next(y for y in bits(f) if not h.commutes(x, y))
+            return f"subset {members(f)}, pair ({x},{y})"
+    return None
 
 
-def _check_lem_qu(h: Hypergroup, sid: str) -> Verdict:
+def _check_lem_qu(h: Hypergroup) -> str | None:
+    """The thin residue pushes forward through quotients."""
     res = thin_residue(h)
     for f, q in _normal_quotients(h):
-        lhs = project_subset(q, res)
-        rhs = thin_residue(q.induced)
-        if lhs != rhs:
-            return _violated(sid, f"kernel {members(f)}")
-    return _holds(sid)
+        if project_subset(q, res) != thin_residue(q.induced):
+            return f"kernel {members(f)}"
+    return None
 
 
-def _check_lem_sn(h: Hypergroup, sid: str) -> Verdict:
+def _check_lem_sn(h: Hypergroup) -> str | None:
+    """Strong normalizers commute with quotients."""
     lat = all_closed_subsets(h)
     for k in lat.masks:
         q = build_quotient(h, k)
@@ -457,48 +458,42 @@ def _check_lem_sn(h: Hypergroup, sid: str) -> Verdict:
             if not is_closed(q.induced, pf):
                 raise InternalMismatch(f"projection of {members(f)} over "
                                        f"{members(k)} is not closed")
-            lhs = strong_normalizer(q.induced, pf)
-            rhs = project_subset(q, strong_normalizer(h, f))
-            if lhs != rhs:
-                return _violated(sid, f"kernel {members(k)}, subset {members(f)}")
-    return _holds(sid)
+            if strong_normalizer(q.induced, pf) != project_subset(q, strong_normalizer(h, f)):
+                return f"kernel {members(k)}, subset {members(f)}"
+    return None
 
 
-def _check_lem_main1(h: Hypergroup, sid: str) -> Verdict:
+def _check_lem_main1(h: Hypergroup) -> str | None:
+    """Closed center series terms are normal closed subsets."""
     for term in closed_center_series(h):
         if not is_closed(h, term) or not is_normal(h, term):
-            return _violated(sid, f"series term {members(term)}")
-    return _holds(sid)
+            return f"series term {members(term)}"
+    return None
 
 
-def _check_lem_com(h: Hypergroup, sid: str) -> Verdict:
+def _check_lem_com(h: Hypergroup) -> str | None:
+    """Lower central terms are strongly normal."""
     for term in lower_central_series(h):
         if not is_strongly_normal(h, term):
-            return _violated(sid, f"series term {members(term)}")
-    return _holds(sid)
+            return f"series term {members(term)}"
+    return None
 
 
-STATEMENTS: dict[str, tuple[str, object]] = {
-    "thm-center": ("nilpotent implies the closed center series reaches the whole set",
-                   _check_thm_center),
-    "thm-ct": ("a full hypercenter forces the thin-residue quotient to be nilpotent",
-               _check_thm_ct),
-    "thm-strongly": ("in a nilpotent hypergroup every nontrivial closed subset is "
-                     "strongly subnormal", _check_thm_strongly),
-    "thm-ns": ("nilpotent implies solvable", _check_thm_ns),
-    "prop-s": ("closed subsets of a nilpotent hypergroup are nilpotent", _check_prop_s),
-    "prop-nq": ("quotients of a nilpotent hypergroup over normal closed subsets are "
-                "nilpotent", _check_prop_nq),
-    "lem-cq": ("commutators commute with quotients", _check_lem_cq),
-    "cor-n": ("lower central terms of a quotient are the pushed-forward terms",
-              _check_cor_n),
-    "lem-cen": ("a trivial commutator subset forces elementwise commuting",
-                _check_lem_cen),
-    "lem-qu": ("the thin residue pushes forward through quotients", _check_lem_qu),
-    "lem-sn": ("strong normalizers commute with quotients", _check_lem_sn),
-    "lem-main1": ("closed center series terms are normal closed subsets",
-                  _check_lem_main1),
-    "lem-com": ("lower central terms are strongly normal", _check_lem_com),
+# id -> (hypothesis or None, check), in report order.
+STATEMENTS: dict[str, tuple[Callable | None, Callable]] = {
+    "thm-center": (_nilpotent, _check_thm_center),
+    "thm-ct": (_full_hypercenter, _check_thm_ct),
+    "thm-strongly": (_nilpotent, _check_thm_strongly),
+    "thm-ns": (_nilpotent, _check_thm_ns),
+    "prop-s": (_nilpotent, _check_prop_s),
+    "prop-nq": (_nilpotent, _check_prop_nq),
+    "lem-cq": (None, _check_lem_cq),
+    "cor-n": (None, _check_cor_n),
+    "lem-cen": (None, _check_lem_cen),
+    "lem-qu": (None, _check_lem_qu),
+    "lem-sn": (None, _check_lem_sn),
+    "lem-main1": (None, _check_lem_main1),
+    "lem-com": (None, _check_lem_com),
 }
 
 
@@ -507,8 +502,14 @@ def statement_ids() -> tuple[str, ...]:
 
 
 def verify_statement(h: Hypergroup, statement_id: str) -> Verdict:
+    """HYPOTHESIS_NOT_MET with the reason, else HOLDS or VIOLATED with the
+    check's first witness."""
     try:
-        _desc, fn = STATEMENTS[statement_id]
+        hypothesis, check = STATEMENTS[statement_id]
     except KeyError:
         raise UnknownStatement(statement_id) from None
-    return fn(h, statement_id)
+    unmet = hypothesis(h) if hypothesis else None
+    if unmet:
+        return Verdict(statement_id, HYPOTHESIS_NOT_MET, unmet)
+    witness = check(h)
+    return Verdict(statement_id, HOLDS if witness is None else VIOLATED, witness)

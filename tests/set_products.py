@@ -9,6 +9,11 @@ def set_product_many(h, *sets: int) -> int:
     return acc
 
 
+def double_coset(h, x: int, f: int) -> int:
+    """F·x·F by two set products (oracle for the blocks of `build_quotient`)."""
+    return h.set_product(h.set_product(f, 1 << x), f)
+
+
 def left_products_by_element(h, p: int) -> list[int]:
     """p·x for every element x, one set product each (oracle for `left_products`)."""
     return [h.set_product(p, 1 << x) for x in h.elements()]

@@ -15,7 +15,6 @@ from hyperalg.enumeration import (
 from hyperalg.groups import (
     NotAGroup,
     builtin_groups,
-    check_group_table,
     cyclic,
     from_group,
     symmetric,
@@ -107,23 +106,23 @@ def test_from_group_roundtrip(group_tables):
 
 def test_from_group_rejects_broken_tables():
     with pytest.raises(NotAGroup):
-        check_group_table([[0, 1], [1, 1]])       # 1 has no inverse
+        from_group([[0, 1], [1, 1]])              # 1 has no inverse
     with pytest.raises(NotAGroup):
-        check_group_table([[1, 0], [0, 1]])       # identity not at 0
+        from_group([[1, 0], [0, 1]])              # identity not at 0
     broken = cyclic(3)
     broken[1][1] = 1                              # breaks associativity
     with pytest.raises(NotAGroup) as err:
         from_group(broken)
     assert "associativity" in str(err.value) or "inverse" in str(err.value)
     with pytest.raises(NotAGroup):
-        check_group_table([[0, 1], [1, 0], [0, 1]])  # not square
+        from_group([[0, 1], [1, 0], [0, 1]])      # not square
 
 
 def test_builtin_groups_classification():
     names4 = [name for name, _ in builtin_groups(4)]
     assert names4 == ["c2", "c3", "c4", "v4"]
     for name, table in builtin_groups(60):
-        check_group_table(table)
+        from_group(table)
 
 
 def test_every_import_is_thin_with_trivial_residue(thin_imports):

@@ -5,12 +5,11 @@ from hyperalg.core import bits, mask_of
 from hyperalg.quotient import (
     NotClosed,
     build_quotient,
-    double_coset,
     lift_blocks,
     project_subset,
     quotient_is_thin,
 )
-from set_products import set_product_many
+from set_products import double_coset, set_product_many
 
 A3 = mask_of([0, 3, 4])
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 import group_oracle as oracle
@@ -375,6 +378,41 @@ def test_lem_sn_planted_witness(thin_imports, monkeypatch):
                    "a4": "kernel (0, 3), subset (0, 3)"}
 
 
+def lem_cen_by_pairs(h):
+    """`lem-cen` oracle: every closed F with [H, F] = 1, then every pair
+    (x, y) in H x F in order; (status, witness)."""
+    for f in all_closed_subsets(h).masks:
+        if series.commutator_subset(h, h.full, f) != 1:
+            continue
+        for x in h.elements():
+            for y in members(f):
+                if not h.commutes(x, y):
+                    return "VIOLATED", f"subset {members(f)}, pair ({x},{y})"
+    return "holds", None
+
+
+def test_lem_cen_planted_witness(corpus, thin_imports, monkeypatch):
+    """Unpatched, every corpus entry holds by both routes.  A planted fault
+    then makes [H, F] trivial for every F on d4, q8 and s3, and the
+    centralizer route must name the pair the pair loop names."""
+    for h in corpus:
+        got = verify_statement(h, "lem-cen")
+        assert (got.status, got.witness) == lem_cen_by_pairs(h) == ("holds", None), h.table
+    commutator_subset = series.commutator_subset
+    groups = {name: thin_imports[name] for name in ("d4", "q8", "s3")}
+    faulted = set(groups.values())
+    monkeypatch.setattr(series, "commutator_subset", lambda h, a, b: 1 if (
+        h in faulted and a == h.full) else commutator_subset(h, a, b))
+    got = {}
+    for name, h in groups.items():
+        v = verify_statement(h, "lem-cen")
+        assert (v.status, v.witness) == lem_cen_by_pairs(h), name
+        got[name] = v.witness
+    assert got == {"d4": "subset (0, 4), pair (1,4)",
+                   "q8": "subset (0, 1, 2, 3), pair (4,2)",
+                   "s3": "subset (0, 1), pair (2,1)"}
+
+
 def test_verify_statement_catalog(s3, nonthin2, thin_imports):
     assert len(statement_ids()) == 13
     with pytest.raises(UnknownStatement):
@@ -385,6 +423,19 @@ def test_verify_statement_catalog(s3, nonthin2, thin_imports):
     assert verify_statement(nonthin2, "thm-strongly").status == "hypothesis-not-met"
     trivial = validate(1, [[1]])
     assert verify_statement(trivial, "thm-ns").status == "holds"
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+def test_statement_table_matches_benchmark_expectations():
+    """The benchmark lists the ids in order and skips `needs_nilpotent` on
+    groups that are not nilpotent.  On a group a full hypercenter is
+    nilpotency, so those are exactly the ids with a hypothesis."""
+    expected = json.loads(EXPECTED.read_text())
+    assert statement_ids() == tuple(expected["statements"])
+    assert [sid for sid, (hypothesis, _) in series.STATEMENTS.items()
+            if hypothesis is not None] == expected["needs_nilpotent"]
 
 
 def test_all_statements_hold_on_small_corpus(small_corpus):
