@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hyperalg.core import Hypergroup, InternalMismatch, bits, mask_of, members, memo, union_over
-
-LANE = (1 << 64) - 1  # one 64-bit lane of a packed row or column
+from hyperalg.core import Hypergroup, InternalMismatch, bits, lanes, mask_of, members, memo, union_over
 
 
 class EmptySet(Exception):
@@ -92,9 +90,9 @@ def is_strongly_normal(h: Hypergroup, f: int) -> bool:
 def centralizer(h: Hypergroup, f: int) -> int:
     """Elements commuting with every member of f (all of H when f is empty):
     the x whose packed row and column agree on the lanes of f's members."""
-    lanes = sum(LANE << 64 * y for y in bits(f))
+    of_f = lanes(f)
     rows, cols = h.packed_rows, h.packed_cols
-    return mask_of(x for x in h.elements() if not (rows[x] ^ cols[x]) & lanes)
+    return mask_of(x for x in h.elements() if not (rows[x] ^ cols[x]) & of_f)
 
 
 def center(h: Hypergroup) -> int:
@@ -135,16 +133,24 @@ class ClosedSubsetLattice:
 
     hypergroup: Hypergroup
     masks: tuple[int, ...]
+    positions: tuple[int, ...]  # element x -> bit i set iff masks[i] holds x
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def closure(self, seed: int) -> int:
         """Smallest closed subset containing the seed: closed subsets meet in
-        closed subsets, so it is the first member in order that contains it."""
+        closed subsets, so it is the first member in order that contains it,
+        the lowest position held by every member of the seed."""
         if seed == 0:
             raise EmptySet("cannot close an empty seed")
-        return next(m for m in self.masks if not seed & ~m)
+        positions = self.positions
+        at = -1
+        while seed:
+            low = seed & -seed
+            at &= positions[low.bit_length() - 1]
+            seed ^= low
+        return self.masks[(at & -at).bit_length() - 1]
 
     @memo
     def supersets(self, f: int) -> tuple[int, ...]:
@@ -226,7 +232,8 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
                 gens[c] = seed
                 work.append(c)
     masks = tuple(sorted(gens, key=lambda m: (m.bit_count(), m)))
-    return ClosedSubsetLattice(hypergroup=h, masks=masks)
+    positions = tuple(mask_of(i for i, m in enumerate(masks) if m >> x & 1) for x in h.elements())
+    return ClosedSubsetLattice(hypergroup=h, masks=masks, positions=positions)
 
 
 def maximal_closed_subsets(h: Hypergroup) -> list[int]:

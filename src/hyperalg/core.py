@@ -15,8 +15,8 @@ A table is valid when
 where p* is the inverse partner derived from the table: the unique q
 with 1 in pq.  The left-identity row and the involutivity of * are
 consequences of H2/H3 and are checked, never trusted.  Each hypergroup
-packs its rows and columns once into 64-bit lanes; the vector products
-and the H1 check, one n×n slab per middle element, read that packing.
+packs its rows and columns once into 64-bit lanes; set products, vector
+products and the H1 check (one n×n slab per middle element) read them.
 
 Valid hypergroups are interned by table: validating a table seen before
 returns the existing instance, so everything memoised on it (see
@@ -88,8 +88,34 @@ def union_over(vectors: Sequence[int], mask: int) -> int:
     return acc
 
 
-def _packed(lines: Iterable[Sequence[int]]) -> tuple[int, ...]:
+def packed(lines: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Each line of cells as one int, cell x in 64-bit lane x."""
     return tuple([int.from_bytes(array("Q", cells), "little") for cells in lines])
+
+
+LANE = (1 << 64) - 1  # one 64-bit lane of a packed line
+_BYTE_LANES = [0]  # entry c: the lanes of the members of the byte c, all ones
+for _bit in range(8):
+    _BYTE_LANES += [v | LANE << 64 * _bit for v in _BYTE_LANES]
+
+
+def lanes(mask: int) -> int:
+    """All ones in lane x for every member x of a mask, 0 elsewhere."""
+    acc = shift = 0
+    while mask:
+        acc |= _BYTE_LANES[mask & 255] << shift
+        mask >>= 8
+        shift += 512
+    return acc
+
+
+def fold_lanes(v: int, n: int) -> int:
+    """OR of the first n lanes of v, which holds nothing above them: lane i
+    takes in lane i + ceil(k/2) while k > 1 lanes are left."""
+    while n > 1:
+        n = (n + 1) >> 1
+        v |= v >> 64 * n
+    return v & LANE
 
 
 class InternalMismatch(Exception):
@@ -169,9 +195,9 @@ class Hypergroup:
     identity = 0
 
     def __post_init__(self) -> None:
-        rows, cols = _packed(self.table), tuple(zip(*self.table))
+        rows, cols = packed(self.table), tuple(zip(*self.table))
         object.__setattr__(self, "packed_rows", rows)
-        object.__setattr__(self, "packed_cols", rows if cols == self.table else _packed(cols))
+        object.__setattr__(self, "packed_cols", rows if cols == self.table else packed(cols))
 
     def __hash__(self) -> int:
         return self._hash
@@ -192,20 +218,9 @@ class Hypergroup:
         return range(self.order)
 
     def set_product(self, p: int, q: int) -> int:
-        """Union of the cell masks over all member pairs (total, empty-safe)."""
-        acc = 0
-        table = self.table
-        pp = p
-        while pp:
-            lo = pp & -pp
-            row = table[lo.bit_length() - 1]
-            pp ^= lo
-            qq = q
-            while qq:
-                lo2 = qq & -qq
-                acc |= row[lo2.bit_length() - 1]
-                qq ^= lo2
-        return acc
+        """Union of the cells a·b over a in p, b in q (total, empty-safe): lane x
+        of the OR of q's packed columns is x·q, and p's lanes are folded."""
+        return fold_lanes(union_over(self.packed_cols, q) & lanes(p), self.order)
 
     def left_products(self, p: int) -> array:
         """p·x for every element x: the OR of the packed rows of p's members."""

@@ -25,6 +25,7 @@ class Quotient:
     kernel: int
     blocks: tuple[int, ...]
     block_of: tuple[int, ...]
+    block_bit: tuple[int, ...]  # 1 << block_of[x]
     induced: Hypergroup
 
     def __len__(self) -> int:
@@ -60,7 +61,7 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
         raise InternalMismatch("double cosets must cover the base, kernel first")
 
     reps = [(b & -b).bit_length() - 1 for b in blocks]  # smallest member of each block
-    block_bit = [1 << i for i in block_of]
+    block_bit = tuple([1 << i for i in block_of])
     nb = len(blocks)
     table = []
     for a in reps:
@@ -72,16 +73,13 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     if any(induced.star[block_of[x]] != block_of[h.star[x]] for x in h.elements()):
         raise InternalMismatch("the star of a block is not the block of the star")
 
-    return Quotient(base=h, kernel=f, blocks=tuple(blocks),
-                    block_of=tuple(block_of), induced=induced)
+    return Quotient(base=h, kernel=f, blocks=tuple(blocks), block_of=tuple(block_of),
+                    block_bit=block_bit, induced=induced)
 
 
 def project_subset(q: Quotient, s: int) -> int:
     """Image of an element set as a set of block indices."""
-    out = 0
-    for x in bits(s):
-        out |= 1 << q.block_of[x]
-    return out
+    return union_over(q.block_bit, s)
 
 
 def lift_blocks(q: Quotient, bmask: int) -> int:

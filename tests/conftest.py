@@ -1,7 +1,7 @@
 import pytest
 
 from hyperalg.enumeration import enumerate_hypergroups
-from hyperalg.groups import alternating, builtin_groups, from_group
+from hyperalg.groups import alternating, builtin_groups, cyclic, dihedral, direct_product, from_group
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +64,12 @@ def small_corpus(enum2, enum3, thin_imports):
     out = list(enum2.survivors) + list(enum3.survivors)
     out += [h for h in thin_imports.values() if h.order <= 8]
     return out
+
+
+@pytest.fixture(scope="session")
+def order64():
+    """C2^6 and D32: order 64 uses lane 63, and D32 does not commute."""
+    c2_6 = [[0]]
+    for _ in range(6):
+        c2_6 = direct_product(c2_6, cyclic(2))
+    return from_group(c2_6), from_group(dihedral(32))

@@ -1,24 +1,70 @@
-"""Chained set products, for tests that write out star(x)·A·x and the like."""
+"""Set products written out pair by pair: the oracles for the packed routes,
+and chained products for tests that write out star(x)·A·x and the like."""
+
+from hyperalg.core import bits
+
+
+def set_product_by_pairs(h, p: int, q: int) -> int:
+    """Union of the cells a·b over every member pair, one table read each
+    (oracle for `Hypergroup.set_product`)."""
+    acc = 0
+    for a in bits(p):
+        row = h.table[a]
+        for b in bits(q):
+            acc |= row[b]
+    return acc
 
 
 def set_product_many(h, *sets: int) -> int:
     """Left-to-right chained set product of masks in h (associative by H1)."""
     acc = sets[0]
     for s in sets[1:]:
-        acc = h.set_product(acc, s)
+        acc = set_product_by_pairs(h, acc, s)
     return acc
 
 
 def double_coset(h, x: int, f: int) -> int:
     """F·x·F by two set products (oracle for the blocks of `build_quotient`)."""
-    return h.set_product(h.set_product(f, 1 << x), f)
+    return set_product_many(h, f, 1 << x, f)
 
 
 def left_products_by_element(h, p: int) -> list[int]:
     """p·x for every element x, one set product each (oracle for `left_products`)."""
-    return [h.set_product(p, 1 << x) for x in h.elements()]
+    return [set_product_by_pairs(h, p, 1 << x) for x in h.elements()]
 
 
 def right_products_by_element(h, p: int) -> list[int]:
     """x·p for every element x, one set product each (oracle for `right_products`)."""
-    return [h.set_product(1 << x, p) for x in h.elements()]
+    return [set_product_by_pairs(h, 1 << x, p) for x in h.elements()]
+
+
+def commutator_table_by_pairs(h) -> tuple[tuple[int, ...], ...]:
+    """star(a)·star(b)·a·b for every pair, row a, column b, by pair products
+    (oracle for the packed commutator columns of `series`)."""
+    return tuple(tuple(set_product_many(h, h.table[h.star[a]][h.star[b]], 1 << a, 1 << b)
+                       for b in h.elements()) for a in h.elements())
+
+
+def commutator_generator_by_pairs(table, amask: int, bmask: int) -> int:
+    """Union of table[a][b] over A x B, pair by pair, for a table from
+    `commutator_table_by_pairs`."""
+    gen = 0
+    for a in bits(amask):
+        for b in bits(bmask):
+            gen |= table[a][b]
+    return gen
+
+
+def closure_by_scan(lattice, seed: int) -> int:
+    """The first lattice member holding the seed, by a scan of the members
+    (oracle for `ClosedSubsetLattice.closure`)."""
+    return next(m for m in lattice.masks if not seed & ~m)
+
+
+def project_by_members(q, s: int) -> int:
+    """Blocks met by an element set, one member at a time (oracle for
+    `project_subset`)."""
+    out = 0
+    for x in bits(s):
+        out |= 1 << q.block_of[x]
+    return out

@@ -1,0 +1,90 @@
+"""The lane-folding routes against their pair-by-pair oracles.
+
+Set products, the packed commutator columns, lattice closure by position
+bitsets and projection onto blocks are each compared with the loop they
+replaced, on every corpus entry, a5, C2^6 and D32 (order 64: lane 63 is
+used, and D32 does not commute) and the order-1 hypergroup.
+"""
+
+import random
+
+import pytest
+
+from hyperalg.closed import EmptySet, all_closed_subsets
+from hyperalg.core import validate
+from hyperalg.quotient import build_quotient, project_subset
+from hyperalg.series import commutator_elements, commutator_subset
+from set_products import (
+    closure_by_scan,
+    commutator_generator_by_pairs,
+    commutator_table_by_pairs,
+    project_by_members,
+    set_product_by_pairs,
+)
+
+TRIVIAL = validate(1, [[1]])
+
+
+@pytest.fixture(scope="module")
+def hypergroups(corpus, a5, order64):
+    return [TRIVIAL, *corpus, a5, *order64]
+
+
+def _masks(h, rng, count=4):
+    """Empty, identity, full, the top element alone, and random masks."""
+    return (0, 1, h.full, 1 << (h.order - 1),
+            *(rng.randrange(1, h.full + 1) for _ in range(count)))
+
+
+def test_set_product_matches_pair_loop(hypergroups):
+    rng = random.Random(1401)
+    for h in hypergroups:
+        masks = _masks(h, rng)
+        for p in masks:
+            assert h.set_product(0, p) == h.set_product(p, 0) == 0
+            for q in masks:
+                assert h.set_product(p, q) == set_product_by_pairs(h, p, q), (h.table, p, q)
+
+
+def test_commutator_columns_match_pair_loop(hypergroups):
+    rng = random.Random(1402)
+    for h in hypergroups:
+        table = commutator_table_by_pairs(h)
+        assert tuple(tuple(commutator_elements(h, a, b) for b in h.elements())
+                     for a in h.elements()) == table, h.table
+        lat = all_closed_subsets(h)
+        masks = [m for m in _masks(h, rng) if m]
+        for a in masks:
+            for b in masks:
+                want = closure_by_scan(lat, commutator_generator_by_pairs(table, a, b))
+                assert commutator_subset(h, a, b) == want, (h.table, a, b)
+
+
+def test_lattice_closure_matches_member_scan(hypergroups):
+    rng = random.Random(1403)
+    for h in hypergroups:
+        lat = all_closed_subsets(h)
+        # Every non-identity element together closes to the whole set, the last member.
+        assert lat.closure(h.full & ~1 or 1) == lat.masks[-1] == h.full
+        for seed in (*lat.masks, *(m for m in _masks(h, rng, 16) if m)):
+            assert lat.closure(seed) == closure_by_scan(lat, seed), (h.table, seed)
+    with pytest.raises(EmptySet):
+        lat.closure(0)
+
+
+def test_projection_matches_member_loop(hypergroups):
+    rng = random.Random(1404)
+    for h in hypergroups:
+        masks = all_closed_subsets(h).masks
+        for f in {1, h.full, *rng.sample(masks, min(3, len(masks)))}:
+            q = build_quotient(h, f)
+            for s in _masks(h, rng):
+                assert project_subset(q, s) == project_by_members(q, s), (h.table, f, s)
+
+
+def test_order_one():
+    lat = all_closed_subsets(TRIVIAL)
+    assert TRIVIAL.set_product(1, 1) == 1 and TRIVIAL.set_product(0, 1) == 0
+    assert lat.masks == (1,) and lat.closure(1) == 1
+    assert commutator_subset(TRIVIAL, 1, 1) == 1
+    assert project_subset(build_quotient(TRIVIAL, 1), 1) == 1

@@ -9,6 +9,12 @@ from hyperalg.enumeration import enumerate_hypergroups
 from hyperalg.groups import builtin_groups, from_group
 from hyperalg.quotient import build_quotient, lift_blocks, project_subset, quotient_is_thin
 from hyperalg.series import commutator_subset
+from set_products import (
+    closure_by_scan,
+    commutator_generator_by_pairs,
+    commutator_table_by_pairs,
+    set_product_by_pairs,
+)
 
 POOL = (list(enumerate_hypergroups(2).survivors)
         + list(enumerate_hypergroups(3).survivors)
@@ -95,6 +101,20 @@ def test_commutator_subset_symmetric(case):
     if a == 0 or b == 0:
         return
     assert commutator_subset(h, a, b) == commutator_subset(h, b, a)
+
+
+@given(hypergroup_and_masks(count=2))
+def test_lane_folding_matches_pair_loops(case):
+    """Set product, commutator subset and lattice closure by folded lanes and
+    position bitsets, against their pair-by-pair oracles."""
+    h, a, b = case
+    assert h.set_product(a, b) == set_product_by_pairs(h, a, b)
+    if a == 0 or b == 0:
+        return
+    lat = all_closed_subsets(h)
+    gen = commutator_generator_by_pairs(commutator_table_by_pairs(h), a, b)
+    assert commutator_subset(h, a, b) == closure_by_scan(lat, gen)
+    assert lat.closure(a) == closure_by_scan(lat, a)
 
 
 @given(hypergroup_and_closed())

@@ -378,6 +378,18 @@ def test_lem_sn_planted_witness(thin_imports, monkeypatch):
                    "a4": "kernel (0, 3), subset (0, 3)"}
 
 
+def test_lem_main1_fault_raises_in_the_series_builder(thin_imports, monkeypatch):
+    """A planted fault: the whole set is not normal.  The series builder
+    tests every term first, so `lem-main1` raises instead of returning a
+    witness."""
+    v4 = thin_imports["v4"]
+    monkeypatch.setitem(vars(v4), "_memo", {})  # rebuild the series under the fault
+    monkeypatch.setattr(series, "is_normal", lambda h, f: f != h.full and is_normal(h, f))
+    with pytest.raises(InternalMismatch, match=r"term \(0, 1, 2, 3\) is not a normal") as err:
+        verify_statement(v4, "lem-main1")
+    assert err.traceback[-1].name == "closed_center_series"
+
+
 def lem_cen_by_pairs(h):
     """`lem-cen` oracle: every closed F with [H, F] = 1, then every pair
     (x, y) in H x F in order; (status, witness)."""
