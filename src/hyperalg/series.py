@@ -461,7 +461,7 @@ def _check_lem_sn(h: Hypergroup) -> str | None:
 
 
 def _check_lem_main1(h: Hypergroup) -> str | None:
-    """Closed center series terms are normal closed subsets.  The series builder
+    """Closed center series terms are normal closed subsets.  `closed_center_series`
     enforces this, so a fault raises InternalMismatch and never yields VIOLATED."""
     for term in closed_center_series(h):
         if not is_closed(h, term) or not is_normal(h, term):

@@ -378,8 +378,8 @@ def test_lem_sn_planted_witness(thin_imports, monkeypatch):
                    "a4": "kernel (0, 3), subset (0, 3)"}
 
 
-def test_lem_main1_fault_raises_in_the_series_builder(thin_imports, monkeypatch):
-    """A planted fault: the whole set is not normal.  The series builder
+def test_lem_main1_fault_raises_while_building_the_series(thin_imports, monkeypatch):
+    """A planted fault: the whole set is not normal.  `closed_center_series`
     tests every term first, so `lem-main1` raises instead of returning a
     witness."""
     v4 = thin_imports["v4"]
