@@ -93,6 +93,23 @@ def commutator_subset(h: Hypergroup, amask: int, bmask: int) -> int:
 
 
 @memo
+def _commutator_positions(h: Hypergroup) -> tuple[tuple[int, ...], ...]:
+    """Lattice position of [C, D], row C, column D: `commutator_subset`'s fold,
+    with D's OR and C's lanes taken once each.  D before C is mirrored, as star
+    reverses products (H3): star(star(a)·star(b)·a·b) = star(b)·star(a)·b·a,
+    closed subsets are star-stable, and so [C, D] = [D, C]."""
+    lat = all_closed_subsets(h)
+    where = {m: i for i, m in enumerate(lat.masks)}
+    cols = [union_over(_commutator_columns(h), d) for d in lat.masks]
+    rows = [[0] * len(lat) for _ in lat.masks]
+    for i, c in enumerate(lat.masks):
+        lc = lanes(c)
+        for j in range(i, len(lat)):
+            rows[i][j] = rows[j][i] = where[lat.closure(fold_lanes(cols[j] & lc, h.order))]
+    return tuple(map(tuple, rows))
+
+
+@memo
 def _lower_central(h: Hypergroup, c: int) -> tuple[int, ...]:
     """Lower central series of the closed subset C, on h's own table.
 
@@ -376,28 +393,24 @@ def _check_prop_nq(h: Hypergroup) -> str | None:
 
 
 def _check_lem_cq(h: Hypergroup) -> str | None:
-    """Commutators commute with quotients.
-
-    [C, D] projects onto [CF/F, DF/F] for every normal F, closed C and D.
-    [C, D] is indexed by lattice position once; per F, quotient commutators
-    are taken over distinct projections only, and C's row over every D is
-    one tuple (a scalar on a one-member lattice).  The witness is the first
-    failing (F, C, D) in lattice order.
+    """Commutators commute with quotients: [C, D] projects onto [CF/F, DF/F]
+    for every normal F, closed C and D.  Both sides are index reads in
+    `_commutator_positions` of h and of H//F, members carried to the positions
+    of their projections.  The witness is the first failing (F, C, D) in order.
     """
-    masks = all_closed_subsets(h).masks
-    where = {m: i for i, m in enumerate(masks)}
-    rows = [itemgetter(*(where[commutator_subset(h, c, d)] for d in masks)) for c in masks]
+    masks, base = all_closed_subsets(h).masks, _commutator_positions(h)
+    rows = [itemgetter(*line) for line in base]
     for f, q in _normal_quotients(h):
-        proj = [project_subset(q, m) for m in masks]
-        at = {p: i for i, p in enumerate(dict.fromkeys(proj))}
-        spread = itemgetter(*(at[p] for p in proj))
-        quo = {pc: spread(tuple(commutator_subset(q.induced, pc, pd) for pd in at))
-               for pc in at}
-        for c, pc, row in zip(masks, proj, rows):
-            if quo[pc] != row(proj):
-                d = next(d for d, pd in zip(masks, proj)
-                         if commutator_subset(q.induced, pc, pd)
-                         != proj[where[commutator_subset(h, c, d)]])
+        where = {m: i for i, m in enumerate(all_closed_subsets(q.induced).masks)}
+        proj = [where.get(project_subset(q, m)) for m in masks]
+        if None in proj:
+            raise InternalMismatch(f"projection of {members(masks[proj.index(None)])} "
+                                   f"over {members(f)} is not closed")
+        table, spread = _commutator_positions(q.induced), itemgetter(*proj)
+        quo = [spread(line) for line in table]
+        for c, p, row, line in zip(masks, proj, rows, base):
+            if quo[p] != row(proj):
+                d = next(d for d, pd, k in zip(masks, proj, line) if table[p][pd] != proj[k])
                 return f"kernel {members(f)}, C {members(c)}, D {members(d)}"
     return None
 

@@ -1,6 +1,7 @@
 """Set products written out pair by pair: the oracles for the packed routes,
 and chained products for tests that write out star(x)·A·x and the like."""
 
+from hyperalg.closed import all_closed_subsets
 from hyperalg.core import bits
 
 
@@ -53,6 +54,15 @@ def commutator_generator_by_pairs(table, amask: int, bmask: int) -> int:
         for b in bits(bmask):
             gen |= table[a][b]
     return gen
+
+
+def positions_by_pairs(h, pair) -> tuple[tuple[int, ...], ...]:
+    """Lattice position of ``pair(h, C, D)`` for every pair of lattice members,
+    row C, column D, one call each (with `series.commutator_subset`, the
+    oracle for `series._commutator_positions`)."""
+    masks = all_closed_subsets(h).masks
+    where = {m: i for i, m in enumerate(masks)}
+    return tuple(tuple(where[pair(h, c, d)] for d in masks) for c in masks)
 
 
 def closure_by_scan(lattice, seed: int) -> int:

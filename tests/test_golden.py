@@ -4,8 +4,13 @@ The files were written by hyperalg 0.1.0: `render_machine(analyze(...))`
 for every bundled group of order <= 12 and every enumerated hypergroup of
 order 2..3 (raw sweep, entry names as in the harness), concatenated in
 that order, and the stdout of `hyperalg verify --order 4 --groups-up-to 12`.
+The SHA-256 of the machine reports of the whole corpus (every enumerated
+hypergroup of order 2..4, then every bundled group up to order 60, a5
+included) was taken before `lem-cq` read its commutators from position
+tables, and pins them byte for byte.
 """
 
+import hashlib
 from pathlib import Path
 
 from hyperalg.cli import main
@@ -27,6 +32,13 @@ def test_group_reports_match_golden():
 def test_enumerated_reports_match_golden():
     want = (GOLDEN / "enumerated_le3.txt").read_text(encoding="utf-8")
     assert _reports(enumerated_entries((2, 3))) == want
+
+
+def test_corpus_reports_match_digest():
+    entries = [*enumerated_entries((2, 3, 4)), *group_entries(60)]
+    assert len(entries) == 459
+    digest = hashlib.sha256(_reports(entries).encode("utf-8")).hexdigest()
+    assert digest == "76988043f501ae5aed617f992d34ee79365d454fca5bbf9af88218ea1f8b6eed"
 
 
 def test_verify_tallies_match_golden(capsys):

@@ -3,21 +3,25 @@
 Set products, the packed commutator columns, lattice closure by position
 bitsets and projection onto blocks are each compared with the loop they
 replaced, on every corpus entry, a5, C2^6 and D32 (order 64: lane 63 is
-used, and D32 does not commute) and the order-1 hypergroup.
+used, and D32 does not commute) and the order-1 hypergroup.  The table of
+commutator positions is compared with `commutator_subset` pair by pair.
 """
 
 import random
 
 import pytest
 
+from hyperalg import series
 from hyperalg.closed import EmptySet, all_closed_subsets
 from hyperalg.core import validate
+from hyperalg.groups import cyclic, direct_product, from_group
 from hyperalg.quotient import build_quotient, project_subset
 from hyperalg.series import commutator_elements, commutator_subset
 from set_products import (
     closure_by_scan,
     commutator_generator_by_pairs,
     commutator_table_by_pairs,
+    positions_by_pairs,
     project_by_members,
     set_product_by_pairs,
 )
@@ -80,6 +84,20 @@ def test_projection_matches_member_loop(hypergroups):
             q = build_quotient(h, f)
             for s in _masks(h, rng):
                 assert project_subset(q, s) == project_by_members(q, s), (h.table, f, s)
+
+
+def test_commutator_positions_match_pair_route(corpus, a5, thin_imports):
+    """Both triangles, so the mirrored one is checked, not assumed."""
+    c2_4_c3 = cyclic(3)
+    for _ in range(4):
+        c2_4_c3 = direct_product(c2_4_c3, cyclic(2))
+    quotients = [build_quotient(h, f).induced for h in (thin_imports["d4"], thin_imports["c12"])
+                 for f in all_closed_subsets(h).masks]
+    big = from_group(c2_4_c3)
+    assert len(all_closed_subsets(big)) == 134
+    for h in (TRIVIAL, *corpus, a5, big, *quotients):
+        want = positions_by_pairs(h, series.commutator_subset)
+        assert series._commutator_positions(h) == want, h.table
 
 
 def test_order_one():

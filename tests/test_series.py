@@ -25,6 +25,7 @@ from hyperalg.series import (
     valency,
     verify_statement,
 )
+from set_products import positions_by_pairs
 from sub_masks import sub_hypergroup, to_sub_mask
 
 A3 = mask_of([0, 3, 4])
@@ -303,12 +304,27 @@ def test_lem_cq_witness_matches_triple_loop(thin_imports, monkeypatch):
         return commutator_subset(h, a, b)
 
     monkeypatch.setattr(series, "commutator_subset", faulty)
+    monkeypatch.setattr(series, "_commutator_positions", lambda g: positions_by_pairs(g, faulty))
     got = {name: _lem_cq(h) for name, h in groups.items()}
     for name, h in groups.items():
         assert got[name] == lem_cq_by_triples(h), name
     assert got["d4"] == ("VIOLATED", "kernel (0, 2), C (0, 1, 2, 3, 4, 5, 6, 7), D (0, 4)")
     assert got["c12"] == ("VIOLATED", "kernel (0, 6), C (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, "
                                       "10, 11), D (0, 4, 8)")
+
+
+def test_lem_cq_projection_not_closed_raises(thin_imports, monkeypatch):
+    """A planted fault: over d4's kernel (0, 2), every projection is the
+    lone block 1, which is not closed, so no position can be read."""
+    h = thin_imports["d4"]
+    f, target = series._normal_quotients(h)[1]
+    assert members(f) == (0, 2)
+    original = series.project_subset
+    monkeypatch.setattr(series, "project_subset",
+                        lambda q, s: 2 if q is target else original(q, s))
+    with pytest.raises(InternalMismatch) as err:
+        verify_statement(h, "lem-cq")
+    assert str(err.value) == "projection of (0,) over (0, 2) is not closed"
 
 
 PLANTED = ("d4", "q8", "d6", "c12", "a4")
