@@ -96,7 +96,7 @@ def test_commutator_positions_match_pair_route(corpus, a5, thin_imports):
     big = from_group(c2_4_c3)
     assert len(all_closed_subsets(big)) == 134
     for h in (TRIVIAL, *corpus, a5, big, *quotients):
-        want = positions_by_pairs(h, series.commutator_subset)
+        want = positions_by_pairs(h, commutator_subset)
         assert series._commutator_positions(h) == want, h.table
 
 
