@@ -134,28 +134,37 @@ class ClosedSubsetLattice:
     hypergroup: Hypergroup
     masks: tuple[int, ...]
     positions: tuple[int, ...]  # element x -> bit i set iff masks[i] holds x
+    index: dict[int, int]  # member mask -> its position in masks
 
     def __len__(self) -> int:
         return len(self.masks)
 
-    def closure(self, seed: int) -> int:
-        """Smallest closed subset containing the seed: closed subsets meet in
-        closed subsets, so it is the first member in order that contains it,
-        the lowest position held by every member of the seed."""
-        if seed == 0:
-            raise EmptySet("cannot close an empty seed")
+    def above(self, seed: int) -> int:
+        """Bitset of the positions of the members holding the seed: the AND of
+        its members' position bitsets, from the identity's, which is every one."""
         positions = self.positions
-        at = -1
+        at = positions[0]
         while seed:
             low = seed & -seed
             at &= positions[low.bit_length() - 1]
             seed ^= low
-        return self.masks[(at & -at).bit_length() - 1]
+        return at
 
-    @memo
+    def position(self, seed: int) -> int:
+        """Position of the seed's closure: closed subsets meet, so it is the lowest above it."""
+        if seed == 0:
+            raise EmptySet("cannot close an empty seed")
+        at = self.above(seed)
+        return (at & -at).bit_length() - 1
+
+    def closure(self, seed: int) -> int:
+        """Smallest closed subset containing the seed, by lookup."""
+        return self.masks[self.position(seed)]
+
     def supersets(self, f: int) -> tuple[int, ...]:
-        """Strict supersets of f in lattice order, scanned once per f."""
-        return tuple(m for m in self.masks if m != f and f & ~m == 0)
+        """Strict supersets of the member f, in order: the positions above its own."""
+        up, masks = self.above(f), self.masks
+        return tuple(masks[i] for i in bits(up & (up - 1)))
 
     def normal_in(self, f: int, k: int) -> bool:
         """F·x inside x·F for every x in k: f normal in the sub-hypergroup on k."""
@@ -186,15 +195,8 @@ class ClosedSubsetLattice:
         return self._reachable(f, self.strongly_normal_in)
 
     def maximal_members(self) -> list[int]:
-        """Proper closed subsets with nothing strictly between them and H."""
-        full = self.hypergroup.full
-        out = []
-        for m in self.masks:
-            if m == full:
-                continue
-            if not any(k != full for k in self.supersets(m)):
-                out.append(m)
-        return out
+        """Proper closed subsets whose only strict superset is H."""
+        return [m for m in self.masks if self.above(m).bit_count() == 2]
 
     def strongly_normal_members(self) -> list[int]:
         h = self.hypergroup
@@ -233,7 +235,8 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
                 work.append(c)
     masks = tuple(sorted(gens, key=lambda m: (m.bit_count(), m)))
     positions = tuple(mask_of(i for i, m in enumerate(masks) if m >> x & 1) for x in h.elements())
-    return ClosedSubsetLattice(hypergroup=h, masks=masks, positions=positions)
+    index = {m: i for i, m in enumerate(masks)}
+    return ClosedSubsetLattice(hypergroup=h, masks=masks, positions=positions, index=index)
 
 
 def maximal_closed_subsets(h: Hypergroup) -> list[int]:

@@ -123,54 +123,39 @@ class InternalMismatch(Exception):
 
 
 class HypergroupError(Exception):
-    """Base class for table-validation failures."""
+    """Base class for table-validation failures: the first witness (a bare index
+    for a row, else a tuple), the count of all, and each subclass's message template."""
+
+    message = ""
+
+    def __init__(self, *witness: int, count: int = 1):
+        self.witness = witness[0] if len(witness) == 1 else witness
+        self.count = count
+        super().__init__(self.message.format(*witness, count=count))
 
 
 class EmptyProduct(HypergroupError):
-    def __init__(self, i: int, j: int, count: int = 1):
-        self.witness = (i, j)
-        self.count = count
-        super().__init__(f"empty product at cell ({i},{j}); {count} empty cell(s) total")
+    message = "empty product at cell ({},{}); {count} empty cell(s) total"
 
 
 class IdentityViolation(HypergroupError):
-    def __init__(self, i: int, count: int = 1):
-        self.witness = i
-        self.count = count
-        super().__init__(f"row {i}: product with the identity is not {{{i}}}; "
-                         f"{count} row(s) violate")
+    message = "row {0}: product with the identity is not {{{0}}}; {count} row(s) violate"
 
 
 class NoInverse(HypergroupError):
-    def __init__(self, i: int, count: int = 1):
-        self.witness = i
-        self.count = count
-        super().__init__(f"row {i} has no cell containing the identity; "
-                         f"{count} row(s) affected")
+    message = "row {} has no cell containing the identity; {count} row(s) affected"
 
 
 class AmbiguousInverse(HypergroupError):
-    def __init__(self, i: int, count: int = 1):
-        self.witness = i
-        self.count = count
-        super().__init__(f"row {i} has several cells containing the identity; "
-                         f"{count} row(s) affected")
+    message = "row {} has several cells containing the identity; {count} row(s) affected"
 
 
 class AssocViolation(HypergroupError):
-    def __init__(self, i: int, j: int, k: int, count: int = 1):
-        self.witness = (i, j, k)
-        self.count = count
-        super().__init__(f"associativity fails at triple ({i},{j},{k}); "
-                         f"{count} triple(s) fail")
+    message = "associativity fails at triple ({},{},{}); {count} triple(s) fail"
 
 
 class ExchangeViolation(HypergroupError):
-    def __init__(self, i: int, j: int, k: int, count: int = 1):
-        self.witness = (i, j, k)
-        self.count = count
-        super().__init__(f"exchange condition fails at triple ({i},{j},{k}); "
-                         f"{count} triple(s) fail")
+    message = "exchange condition fails at triple ({},{},{}); {count} triple(s) fail"
 
 
 @dataclass(frozen=True)

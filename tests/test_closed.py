@@ -169,14 +169,52 @@ def test_lattice_matches_single_extension_sweep(corpus):
         assert list(all_closed_subsets(h).masks) == single_extension_lattice(h), h.table
 
 
-def test_lattice_closure_matches_fixpoint_closure(corpus):
+def supersets_by_scan(lat, f):
+    """Strict supersets of f in lattice order, by a scan over every member
+    (oracle for `ClosedSubsetLattice.supersets`)."""
+    return tuple(m for m in lat.masks if m != f and f & ~m == 0)
+
+
+def is_maximal_by_scan(lat, m):
+    """A proper member with no proper strict superset, by that scan
+    (oracle for `ClosedSubsetLattice.maximal_members`)."""
+    full = lat.hypergroup.full
+    return m != full and not any(k != full for k in supersets_by_scan(lat, m))
+
+
+def lattice_cases(corpus, a5, order64):
+    """(lattice, members in lattice order): every member for the corpus and
+    a5; for each order-64 lattice, {1}, H and a seeded sample of 32 members,
+    sampled only to keep the scans short."""
+    rng = random.Random(16)
+    for h in [*corpus, a5]:
+        lat = all_closed_subsets(h)
+        yield lat, lat.masks
+    for h in order64:
+        lat = all_closed_subsets(h)
+        sample = {1, h.full, *rng.sample(lat.masks, min(32, len(lat)))}
+        yield lat, sorted(sample, key=lat.masks.index)
+
+
+def test_lattice_closure_matches_fixpoint_closure(corpus, a5, order64):
+    """Closure and position of random seeds against the fixpoint; position,
+    index and supersets of members against scans of the member list."""
     rng = random.Random(6)
-    for h in corpus:
+    for h in [*corpus, a5, *order64]:
         lat = all_closed_subsets(h)
         for seed in {rng.randint(1, h.full) for _ in range(16)}:
             assert lat.closure(seed) == fixpoint_closure(h, seed), (h.table, seed)
+            assert lat.position(seed) == lat.masks.index(lat.closure(seed)), (h.table, seed)
     with pytest.raises(EmptySet):
         lat.closure(0)
+    with pytest.raises(EmptySet):
+        lat.position(0)
+    for lat, sample in lattice_cases(corpus, a5, order64):
+        assert len(lat.index) == len(lat), lat.hypergroup.table
+        for m in sample:
+            where = (lat.hypergroup.table, m)
+            assert lat.index[m] == lat.position(m) == lat.masks.index(m), where
+            assert lat.supersets(m) == supersets_by_scan(lat, m), where
 
 
 def test_closed_subsets_are_subgroups_for_imports(thin_imports, group_tables):
@@ -278,12 +316,16 @@ def test_strong_normalizer(s3, c2_thin):
     assert strong_normalizer(s3, T12) == T12  # self-normalizing
 
 
-def test_maximal_closed_subsets(nonthin2, s3, thin_imports):
+def test_maximal_closed_subsets(nonthin2, s3, thin_imports, corpus, a5, order64):
     c4 = thin_imports["c4"]
     assert maximal_closed_subsets(c4) == [mask_of([0, 2])]
     assert maximal_closed_subsets(nonthin2) == [1]
     s3_max = maximal_closed_subsets(s3)
     assert sorted(s3_max) == sorted([A3, T12, mask_of([0, 2]), mask_of([0, 5])])
+    for lat, sample in lattice_cases(corpus, a5, order64):
+        maximal = set(lat.maximal_members())
+        want = [m for m in sample if is_maximal_by_scan(lat, m)]
+        assert [m for m in sample if m in maximal] == want, lat.hypergroup.table
 
 
 def test_sub_hypergroup_revalidates(small_corpus):
