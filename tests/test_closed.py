@@ -203,8 +203,9 @@ def test_lattice_closure_matches_fixpoint_closure(corpus, a5, order64):
     for h in [*corpus, a5, *order64]:
         lat = all_closed_subsets(h)
         for seed in {rng.randint(1, h.full) for _ in range(16)}:
-            assert lat.closure(seed) == fixpoint_closure(h, seed), (h.table, seed)
-            assert lat.position(seed) == lat.masks.index(lat.closure(seed)), (h.table, seed)
+            want = fixpoint_closure(h, seed)
+            assert lat.closure(seed) == want, (h.table, seed)
+            assert lat.position(seed) == lat.masks.index(want), (h.table, seed)
     with pytest.raises(EmptySet):
         lat.closure(0)
     with pytest.raises(EmptySet):
