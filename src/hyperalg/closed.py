@@ -64,15 +64,14 @@ def generated_closure(h: Hypergroup, seed: int) -> int:
 
 @memo
 def _normalized_by(h: Hypergroup, f: int, xs: int) -> bool:
-    """F·x inside x·F for every x in xs; containment forces equality.
+    """F·x inside x·F for every x in xs, containment forcing equality: lane x of
+    the ORs of F's packed rows and columns, one comparison on xs's lanes.
     Memoised here, so `is_normal` (xs = H) and `normal_in` share one cache."""
-    fx, xf = h.left_products(f), h.right_products(f)
-    unequal = False
-    for x in bits(xs):
-        if fx[x] & ~xf[x]:
-            return False
-        unequal |= fx[x] != xf[x]
-    if unequal:
+    of_xs = lanes(xs)
+    fx, xf = union_over(h.packed_rows, f) & of_xs, union_over(h.packed_cols, f) & of_xs
+    if fx & ~xf:
+        return False
+    if fx != xf:
         raise InternalMismatch(f"F·x inside x·F but not equal for F = {members(f)}")
     return True
 
@@ -174,25 +173,24 @@ class ClosedSubsetLattice:
         """Is star(x)·F·x inside F for every x in k?"""
         return k & ~strong_normalizer(self.hypergroup, f) == 0
 
-    def _reachable(self, f: int, edge) -> bool:
-        full = self.hypergroup.full
-        seen = {f}
-        stack = [f]
-        while stack:
-            cur = stack.pop()
-            if cur == full:
-                return True
-            for k in self.supersets(cur):
-                if k not in seen and edge(cur, k):
-                    seen.add(k)
-                    stack.append(k)
-        return False
+    @memo
+    def _subnormal(self, strongly: bool) -> set[int]:
+        """Members joined to H by (strongly) normal steps, in one pass down the
+        lattice: f is in when a strict superset it is (strongly) normal in is."""
+        edge = self.strongly_normal_in if strongly else self.normal_in
+        found = {self.hypergroup.full}
+        for f in reversed(self.masks):
+            if any(k in found and edge(f, k) for k in self.supersets(f)):
+                found.add(f)
+        return found
 
     def is_subnormal(self, f: int) -> bool:
-        return self._reachable(f, self.normal_in)
+        """Is the member f joined to H by a chain of normal steps?"""
+        return f in self._subnormal(False)
 
     def is_strongly_subnormal(self, f: int) -> bool:
-        return self._reachable(f, self.strongly_normal_in)
+        """Is the member f joined to H by a chain of strongly normal steps?"""
+        return f in self._subnormal(True)
 
     def maximal_members(self) -> list[int]:
         """Proper closed subsets whose only strict superset is H."""

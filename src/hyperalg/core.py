@@ -28,7 +28,7 @@ from __future__ import annotations
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
@@ -132,6 +132,10 @@ class HypergroupError(Exception):
         self.witness = witness[0] if len(witness) == 1 else witness
         self.count = count
         super().__init__(self.message.format(*witness, count=count))
+
+    def __reduce__(self):  # rebuilt from the witness and count, not from the message
+        witness = self.witness if isinstance(self.witness, tuple) else (self.witness,)
+        return partial(type(self), *witness, count=self.count), ()
 
 
 class EmptyProduct(HypergroupError):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from hyperalg.core import Hypergroup, HypergroupError, InternalMismatch, validate
+from hyperalg.core import Hypergroup, HypergroupError, InternalMismatch, union_over, validate
 
 
 class OrderOutOfRange(Exception):
@@ -166,24 +166,14 @@ def relabel(h: Hypergroup, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
     inv = [0] * n
     for i, p in enumerate(perm):
         inv[p] = i
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = h.table[inv[i]][inv[j]]
-            row.append(sum(1 << perm[x] for x in range(n) if (cell >> x) & 1))
-        out.append(tuple(row))
-    return tuple(out)
+    moved = [1 << p for p in perm]  # element x goes to bit perm[x]
+    return tuple(tuple(union_over(moved, h.table[inv[i]][inv[j]]) for j in range(n))
+                 for i in range(n))
 
 
 def canonical_table(h: Hypergroup) -> tuple[tuple[int, ...], ...]:
     """Minimal relabeled table over all identity-fixing permutations."""
-    best = None
-    for perm in permutations(range(1, h.order)):
-        cand = relabel(h, (0,) + perm)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(relabel(h, (0,) + perm) for perm in permutations(range(1, h.order)))
 
 
 def canonical_representatives(hypergroups) -> list[Hypergroup]:

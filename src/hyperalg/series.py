@@ -219,33 +219,22 @@ def _thin_steps(h: Hypergroup, f: int) -> tuple[tuple[int, int], ...]:
 
 @memo
 def is_solvable(h: Hypergroup) -> tuple[bool, tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Search the lattice for a chain with thin quotients of prime order.
+    """Find a chain with thin quotients of prime order, in one pass down the lattice.
 
     Returns (verdict, chain of masks from the trivial subset to the whole
-    set, per-step quotient orders).  The search is depth-first in lattice
-    order with memoised dead ends, so the witness is deterministic and a
+    set, per-step quotient orders).  Members are visited largest first; each
+    takes its first prime-order step, in `_thin_steps` order, into a member
+    already joined to the whole set, followed by that member's chain.  So the
+    witness is the one a depth-first search in lattice order finds, and a
     failure is exhaustive.
     """
-    dead: set[int] = set()
-
-    def extend(f: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        if f == h.full:
-            return (f,), ()
-        if f in dead:
-            return None
+    chains = {h.full: ((h.full,), ())}
+    for f in reversed(all_closed_subsets(h).masks[:-1]):
         for k, n in _thin_steps(h, f):
-            if _prime_factors(n) != (n,):
-                continue
-            tail = extend(k)
-            if tail is not None:
-                return (f, *tail[0]), (n, *tail[1])
-        dead.add(f)
-        return None
-
-    found = extend(1)
-    if found is None:
-        return False, None, None
-    return True, *found
+            if k in chains and _prime_factors(n) == (n,):
+                chains[f] = (f, *chains[k][0]), (n, *chains[k][1])
+                break
+    return (True, *chains[1]) if 1 in chains else (False, None, None)
 
 
 @memo

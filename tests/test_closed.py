@@ -17,7 +17,7 @@ from hyperalg.closed import (
     maximal_closed_subsets,
     strong_normalizer,
 )
-from hyperalg.core import InternalMismatch, mask_of, members
+from hyperalg.core import Hypergroup, InternalMismatch, mask_of, members
 from hyperalg.quotient import build_quotient
 from hyperalg.series import _step_order
 from set_products import set_product_many
@@ -238,7 +238,25 @@ def test_normality_matches_group_oracle(thin_imports, group_tables):
             assert is_strongly_normal(h, m) == want
 
 
-def test_subnormality(s3, thin_imports):
+def reachable_by_search(lat, f, edge):
+    """Is H reached from the member f by steps f -> k with edge(f, k), k a strict
+    superset?  A depth-first search per member (oracle for `is_subnormal` and
+    `is_strongly_subnormal`)."""
+    full = lat.hypergroup.full
+    seen = {f}
+    stack = [f]
+    while stack:
+        cur = stack.pop()
+        if cur == full:
+            return True
+        for k in lat.supersets(cur):
+            if k not in seen and edge(cur, k):
+                seen.add(k)
+                stack.append(k)
+    return False
+
+
+def test_subnormality(s3, thin_imports, corpus, a5, order64):
     lat = all_closed_subsets(s3)
     assert lat.is_subnormal(s3.full)
     assert lat.is_strongly_subnormal(A3)
@@ -248,6 +266,12 @@ def test_subnormality(s3, thin_imports):
     d4lat = all_closed_subsets(d4)
     for m in d4lat.masks:
         assert d4lat.is_strongly_subnormal(m)
+    for lat, sample in lattice_cases(corpus, a5, order64):
+        for m in sample:
+            where = (lat.hypergroup.table, m)
+            assert lat.is_subnormal(m) == reachable_by_search(lat, m, lat.normal_in), where
+            strongly = reachable_by_search(lat, m, lat.strongly_normal_in)
+            assert lat.is_strongly_subnormal(m) == strongly, where
 
 
 def test_centralizer(s3, thin_imports, group_tables):
@@ -352,21 +376,55 @@ def _strongly_normal_by_loop(sub, f) -> bool:
     return True
 
 
-def test_lattice_edges_match_sub_hypergroup_route(corpus):
-    """Every pair f ⊂ k of closed subsets, decided on the ambient table and
-    again inside the sub-hypergroup on k; over all order-2..4 survivors and
-    the bundled groups <= 12."""
-    for h in corpus:
+def normalized_by_loop(h, f, xs):
+    """F·x inside x·F for every x in xs, one element at a time, raising on
+    containment without equality (oracle for `is_normal` and `normal_in`)."""
+    fx, xf = h.left_products(f), h.right_products(f)
+    unequal = False
+    for x in members(xs):
+        if fx[x] & ~xf[x]:
+            return False
+        unequal |= fx[x] != xf[x]
+    if unequal:
+        raise InternalMismatch(f"F·x inside x·F but not equal for F = {members(f)}")
+    return True
+
+
+def test_lattice_edges_match_sub_hypergroup_route(corpus, a5):
+    """Every pair f ⊆ k of closed subsets, over all order-2..4 survivors, the
+    bundled groups <= 12 and a5: normality against the element loop, and for
+    f ⊂ k both edges decided on the ambient table and again inside the
+    sub-hypergroup on k."""
+    for h in [*corpus, a5]:
         lat = all_closed_subsets(h)
         for k in lat.masks:
             sub, elems = sub_hypergroup(h, k)
             for f in lat.masks:
-                if f == k or f & ~k:
+                if f & ~k:
+                    continue
+                where = (h.table, members(f), members(k))
+                assert lat.normal_in(f, k) == normalized_by_loop(h, f, k), where
+                if k == h.full:
+                    assert is_normal(h, f) == normalized_by_loop(h, f, k), where
+                if f == k:
                     continue
                 small = to_sub_mask(f, elems)
-                where = (h.table, members(f), members(k))
                 assert lat.normal_in(f, k) == is_normal(sub, small), where
                 strong = _strongly_normal_by_loop(sub, small)
                 assert lat.strongly_normal_in(f, k) == strong, where
                 if strong:
                     assert _step_order(h, f, k) == len(build_quotient(sub, small)), where
+
+
+def test_normality_guard_raises():
+    """F = {0, 1} has F·x inside x·F for every x, but F·2 = {2} is not
+    2·F = {1, 2}.  The table is no hypergroup, so it is built without the
+    validator; the guard, not a verdict, must answer."""
+    h = Hypergroup(order=3, table=((1, 2, 4), (2, 1, 4), (4, 6, 1)), star=(0, 1, 2))
+    message = "F·x inside x·F but not equal for F = (0, 1)"
+    with pytest.raises(InternalMismatch) as err:
+        is_normal(h, 0b011)
+    assert str(err.value) == message
+    with pytest.raises(InternalMismatch) as err:
+        normalized_by_loop(h, 0b011, h.full)
+    assert str(err.value) == message

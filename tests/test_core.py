@@ -91,14 +91,18 @@ def test_exchange_violation_witness():
     assert err.value.witness == (1, 0, 1) and err.value.count == 4
 
 
-@pytest.mark.parametrize("exc, witness, message", [
+# (error class, witness, message with count=5) for the six validation errors.
+VALIDATION_ERRORS = [
     (EmptyProduct, (1, 2), "empty product at cell (1,2); 5 empty cell(s) total"),
     (IdentityViolation, (3,), "row 3: product with the identity is not {3}; 5 row(s) violate"),
     (NoInverse, (2,), "row 2 has no cell containing the identity; 5 row(s) affected"),
     (AmbiguousInverse, (4,), "row 4 has several cells containing the identity; 5 row(s) affected"),
     (AssocViolation, (1, 2, 3), "associativity fails at triple (1,2,3); 5 triple(s) fail"),
     (ExchangeViolation, (0, 1, 2), "exchange condition fails at triple (0,1,2); 5 triple(s) fail"),
-])
+]
+
+
+@pytest.mark.parametrize("exc, witness, message", VALIDATION_ERRORS)
 def test_validation_error_messages(exc, witness, message):
     err = exc(*witness, count=5)
     assert isinstance(err, HypergroupError)
@@ -106,6 +110,16 @@ def test_validation_error_messages(exc, witness, message):
     assert err.witness == (witness[0] if len(witness) == 1 else witness)
     assert err.count == 5
     assert exc(*witness).count == 1
+
+
+@pytest.mark.parametrize("exc, witness, message", VALIDATION_ERRORS)
+def test_validation_errors_survive_pickling(exc, witness, message):
+    """Unpickling rebuilds the error from its witness and count, not its message."""
+    err = pickle.loads(pickle.dumps(exc(*witness, count=5)))
+    assert type(err) is exc
+    assert str(err) == message
+    assert err.witness == (witness[0] if len(witness) == 1 else witness)
+    assert err.count == 5
 
 
 def test_order_bounds():

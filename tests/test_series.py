@@ -140,7 +140,32 @@ def test_solvable(s3, nonthin2):
     assert is_solvable(nonthin2) == (False, None, None)
 
 
-def test_solvable_chain_steps_are_prime_thin(small_corpus):
+def solvable_by_search(h):
+    """A chain with thin quotients of prime order, by depth-first search in
+    lattice order with memoised dead ends (oracle for `is_solvable`)."""
+    dead = set()
+
+    def extend(f):
+        if f == h.full:
+            return (f,), ()
+        if f in dead:
+            return None
+        for k, n in series._thin_steps(h, f):
+            if series._prime_factors(n) != (n,):
+                continue
+            tail = extend(k)
+            if tail is not None:
+                return (f, *tail[0]), (n, *tail[1])
+        dead.add(f)
+        return None
+
+    found = extend(1)
+    return (False, None, None) if found is None else (True, *found)
+
+
+def test_solvable_chain_steps_are_prime_thin(small_corpus, corpus, a5, order64):
+    for h in [*corpus, a5, *order64]:
+        assert is_solvable(h) == solvable_by_search(h), h.table
     for h in small_corpus:
         ok, chain, orders = is_solvable(h)
         if not ok:
