@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from hyperalg.closed import is_closed, is_strongly_normal
-from hyperalg.core import Hypergroup, InternalMismatch, bits, memo, union_over, validate
+from hyperalg.core import Hypergroup, InternalMismatch, bits, mask_of, memo, union_over, validate
 
 
 class NotClosed(Exception):
@@ -26,6 +26,7 @@ class Quotient:
     blocks: tuple[int, ...]
     block_of: tuple[int, ...]
     block_bit: tuple[int, ...]  # 1 << block_of[x]
+    reps: int  # each block's smallest member; a union of blocks S projects as S & reps
     induced: Hypergroup
 
     def __len__(self) -> int:
@@ -39,6 +40,10 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     Blocks are ordered by smallest member, which puts the kernel first.
     Cached per (hypergroup, kernel).  Over the trivial kernel the induced
     table is the base table, so interning makes ``induced`` the base itself.
+
+    Where a·F = F·a (every a when F is normal, the identity always), FaF is
+    a·F, and a·F·b = F·(a·b) meets the blocks that a·b meets, since F·y lies
+    in FyF: such a row is read from the base row of a.
     """
     if f == 0 or not is_closed(h, f):
         raise NotClosed(f"kernel {sorted(bits(f))} is not a closed subset")
@@ -50,7 +55,7 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     for x in h.elements():
         if (seen >> x) & 1:
             continue
-        b = union_over(xf, fx[x])  # FxF, the OR of y·F over y in F·x
+        b = xf[x] if fx[x] == xf[x] else union_over(xf, fx[x])  # FxF: y·F over y in F·x
         if b & seen:
             raise InternalMismatch("double cosets failed to partition")
         for y in bits(b):
@@ -65,8 +70,8 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     nb = len(blocks)
     table = []
     for a in reps:
-        afx = h.left_products(xf[a])  # (a·F)·x for every x
-        table.append([union_over(block_bit, afx[b]) for b in reps])
+        row = h.table[a] if fx[a] == xf[a] else h.left_products(xf[a])  # a·x or (a·F)·x
+        table.append([union_over(block_bit, row[b]) for b in reps])
     induced = validate(nb, table)
 
     # Blockwise star transport: the star of a block is the block of the star.
@@ -74,7 +79,7 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
         raise InternalMismatch("the star of a block is not the block of the star")
 
     return Quotient(base=h, kernel=f, blocks=tuple(blocks), block_of=tuple(block_of),
-                    block_bit=block_bit, induced=induced)
+                    block_bit=block_bit, reps=mask_of(reps), induced=induced)
 
 
 def project_subset(q: Quotient, s: int) -> int:

@@ -198,12 +198,15 @@ def _step_order(h: Hypergroup, f: int, k: int) -> int:
     """|K//F| for a strongly normal step F ⊂ K, read from H//F.
 
     K is closed and contains F, so every double coset FxF with x in K lies
-    in K: the blocks of H//F meeting K are exactly the blocks of K//F, with
-    the same products, and K projects onto |K//F| of them.  Strong
-    normality makes them thin; a block that is not raises InternalMismatch.
+    in K: K is a union of blocks of H//F, which are the blocks of K//F with
+    the same products.  So K projects as its block representatives do, in
+    |K//F| steps; the lift of the image must give K back.  Strong normality
+    makes the blocks thin.  Either failure raises InternalMismatch.
     """
     q = build_quotient(h, f)
-    image = project_subset(q, k)
+    image = project_subset(q, k & q.reps)
+    if lift_blocks(q, image) != k:
+        raise InternalMismatch(f"{members(k)} is not a union of blocks over {members(f)}")
     if image & ~q.induced.thin_part:
         raise InternalMismatch(f"step {members(f)} -> {members(k)} is not thin")
     return image.bit_count()

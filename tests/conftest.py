@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from hyperalg.closed import all_closed_subsets
 from hyperalg.enumeration import enumerate_hypergroups
 from hyperalg.groups import alternating, builtin_groups, cyclic, dihedral, direct_product, from_group
 
@@ -73,3 +76,18 @@ def order64():
     for _ in range(6):
         c2_6 = direct_product(c2_6, cyclic(2))
     return from_group(c2_6), from_group(dihedral(32))
+
+
+@pytest.fixture(scope="session")
+def quotient_kernels(corpus, a5, order64):
+    """(h, F) for every closed F of the corpus, a5, C2^4 and C2^3×C3 (whose
+    kernels are all normal), and for a seeded sample of 32 closed F of each
+    order-64 hypergroup, sampled only to keep the run short."""
+    c2_3 = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+    small = [*corpus, a5, from_group(direct_product(c2_3, cyclic(2))),
+             from_group(direct_product(c2_3, cyclic(3)))]
+    cases = [(h, f) for h in small for f in all_closed_subsets(h).masks]
+    rng = random.Random(18)
+    for h in order64:
+        cases += [(h, f) for f in rng.sample(all_closed_subsets(h).masks, 32)]
+    return cases

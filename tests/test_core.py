@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from group_oracle import is_group_check
-from hyperalg import core, enumeration
+from hyperalg import core, enumeration, series
 from hyperalg.closed import all_closed_subsets
 from hyperalg.core import (
     AmbiguousInverse,
@@ -280,11 +280,17 @@ def test_invalid_tables_are_never_interned(raw, exc, witness, count):
 
 
 def test_intern_entry_dies_with_last_reference():
+    """The memo's lattice and quotients point back at the instance, so a
+    filled memo is a reference cycle: the entry goes once it is collected."""
     n = 13  # no fixture keeps a cyclic group of this order alive
     raw = [[1 << (i + j) % n for j in range(n)] for i in range(n)]
     key = tuple(tuple(row) for row in raw)
     h = validate(n, raw)
     assert core._INTERNED[key] is h
+    all_closed_subsets(h)
+    build_quotient(h, h.full)
+    series._thin_steps(h, 1)
+    assert len(h._memo) >= 3
     del h
     gc.collect()
     assert key not in core._INTERNED

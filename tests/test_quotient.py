@@ -1,7 +1,7 @@
 import pytest
 
 from hyperalg.closed import all_closed_subsets, is_closed, is_normal, is_strongly_normal
-from hyperalg.core import bits, mask_of
+from hyperalg.core import bits, mask_of, union_over
 from hyperalg.quotient import (
     NotClosed,
     build_quotient,
@@ -20,17 +20,48 @@ def test_double_coset_examples(s3):
     assert double_coset(s3, 1, A3) == mask_of([1, 2, 5])  # the transpositions
 
 
-def test_quotient_matches_set_product_route(corpus, a5):
+def test_quotient_matches_set_product_route(quotient_kernels):
     """Blocks are the double cosets F·x·F, and block i times block j is the
     set of blocks meeting rep_i·F·rep_j, both by chained set products."""
-    for h in [*corpus, a5]:
-        for f in all_closed_subsets(h).masks:
-            q = build_quotient(h, f)
-            assert q.blocks == tuple(dict.fromkeys(double_coset(h, x, f) for x in h.elements()))
-            reps = [b & -b for b in q.blocks]
-            assert q.induced.table == tuple(
-                tuple(project_subset(q, set_product_many(h, a, f, b)) for b in reps)
-                for a in reps), (h.table, f)
+    for h, f in quotient_kernels:
+        q = build_quotient(h, f)
+        assert q.blocks == tuple(dict.fromkeys(double_coset(h, x, f) for x in h.elements()))
+        reps = [b & -b for b in q.blocks]
+        assert q.reps == sum(reps)
+        assert q.induced.table == tuple(
+            tuple(project_subset(q, set_product_many(h, a, f, b)) for b in reps)
+            for a in reps), (h.table, f)
+
+
+def quotient_by_coset_products(h, f):
+    """Blocks, block_of and the induced table with every FxF as the OR of
+    y·F over y in F·x and every row a as (a·F)·x (oracle for the row rule of
+    `build_quotient`, which reads x·F and the base row a·x where F·x = x·F)."""
+    fx, xf = h.left_products(f), h.right_products(f)
+    blocks, block_of = [], [-1] * h.order
+    for x in h.elements():
+        if block_of[x] < 0:
+            blocks.append(union_over(xf, fx[x]))
+            for y in bits(blocks[-1]):
+                block_of[y] = len(blocks) - 1
+    block_bit = [1 << i for i in block_of]
+    reps = [(b & -b).bit_length() - 1 for b in blocks]
+    rows = [h.left_products(xf[a]) for a in reps]
+    table = tuple(tuple(union_over(block_bit, row[b]) for b in reps) for row in rows)
+    return tuple(blocks), tuple(block_of), table
+
+
+def test_row_rule_matches_coset_product_routes(quotient_kernels):
+    """The partition and the induced table equal the coset-product routes on
+    every kernel, and both sides of the row rule (a·F = F·a or not) are taken."""
+    sides = set()
+    for h, f in quotient_kernels:
+        q = build_quotient(h, f)
+        assert (q.blocks, q.block_of, q.induced.table) == quotient_by_coset_products(h, f), \
+            (h.order, f)
+        fx, xf = h.left_products(f), h.right_products(f)
+        sides |= {fx[a] == xf[a] for a in bits(q.reps)}
+    assert sides == {True, False}
 
 
 def test_quotient_by_full_is_trivial(s3):

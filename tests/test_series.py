@@ -140,6 +140,26 @@ def test_solvable(s3, nonthin2):
     assert is_solvable(nonthin2) == (False, None, None)
 
 
+def test_step_order_rejects_a_superset_that_is_not_a_union_of_blocks(s3):
+    """A3 plus one transposition meets the block of the transpositions
+    without holding it: the lift of its image is not the set itself."""
+    with pytest.raises(InternalMismatch) as err:
+        series._step_order(s3, A3, A3 | 1 << 1)
+    assert str(err.value) == "(0, 1, 3, 4) is not a union of blocks over (0, 3, 4)"
+
+
+def test_step_image_reads_block_representatives(quotient_kernels):
+    """K & reps projects as K does for every strongly normal step F ⊂ K."""
+    steps = 0
+    for h, f in quotient_kernels:
+        lat, q = all_closed_subsets(h), build_quotient(h, f)
+        for k in lat.supersets(f):
+            if lat.strongly_normal_in(f, k):
+                assert project_subset(q, k & q.reps) == project_subset(q, k), (h.order, f, k)
+                steps += 1
+    assert steps
+
+
 def solvable_by_search(h):
     """A chain with thin quotients of prime order, by depth-first search in
     lattice order with memoised dead ends (oracle for `is_solvable`)."""
