@@ -32,7 +32,6 @@ def is_closed(h: Hypergroup, s: int) -> bool:
     return closed
 
 
-@memo
 def generated_closure(h: Hypergroup, seed: int) -> int:
     """Smallest closed subset containing the seed.
 

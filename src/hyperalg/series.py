@@ -15,8 +15,9 @@ series invariant, raises InternalMismatch because it can only mean a bug.
 
 Each kernel is worked out once per hypergroup: `_thin_steps` lists the
 strongly normal steps out of a closed subset, for `is_solvable` and the
-valencies, and `_normal_quotients` lists (F, H//F) over the normal F for
-every quotient statement but `lem-sn`, which visits every kernel.
+valencies, and `_normal_quotients` lists (F, H//F) over the proper normal F
+for every quotient statement but `lem-sn`, which visits every proper kernel.
+Over {1} and H the quotient is H itself and a point: no statement fails there.
 """
 
 from __future__ import annotations
@@ -93,18 +94,15 @@ def commutator_subset(h: Hypergroup, amask: int, bmask: int) -> int:
 
 @memo
 def _commutator_positions(h: Hypergroup) -> tuple[tuple[int, ...], ...]:
-    """Lattice position of [C, D], row C, column D: `commutator_subset`'s fold,
-    with D's OR and C's lanes taken once each.  D before C is mirrored, as star
-    reverses products (H3): star(star(a)·star(b)·a·b) = star(b)·star(a)·b·a,
-    closed subsets are star-stable, and so [C, D] = [D, C]."""
+    """Lattice position of [C, D], row C, column D.  `commutator_subset`'s fold
+    reads C only through its commutator vector (the OR of its columns), so the
+    members with one vector share one row, U·L lookups for U vectors.  Row C holds
+    [D, C], which is [C, D]: star reverses products (H3), closed subsets are star-stable."""
     lat = all_closed_subsets(h)
-    cols = [union_over(_commutator_columns(h), d) for d in lat.masks]
-    rows = [[0] * len(lat) for _ in lat.masks]
-    for i, c in enumerate(lat.masks):
-        lc = lanes(c)
-        for j in range(i, len(lat)):
-            rows[i][j] = rows[j][i] = lat.position(fold_lanes(cols[j] & lc, h.order))
-    return tuple(map(tuple, rows))
+    vectors = [union_over(_commutator_columns(h), c) for c in lat.masks]
+    of = [lanes(d) for d in lat.masks]
+    rows = {v: tuple(lat.position(fold_lanes(v & ld, h.order)) for ld in of) for v in set(vectors)}
+    return tuple(rows[v] for v in vectors)
 
 
 @memo
@@ -364,12 +362,12 @@ def _check_prop_s(h: Hypergroup) -> str | None:
 
 @memo
 def _normal_quotients(h: Hypergroup) -> tuple[tuple[int, Quotient], ...]:
-    """(F, H//F) for every normal closed F, in lattice order.
+    """(F, H//F) for every proper normal closed F, in lattice order.
 
     1 is in F, so X <= X·F <= the union of the blocks FxF meeting X: X·F
     and X project alike, and `project_subset(q, X)` is the image X·F/F.
     """
-    return tuple((f, build_quotient(h, f)) for f in all_closed_subsets(h).masks
+    return tuple((f, build_quotient(h, f)) for f in all_closed_subsets(h).masks[1:-1]
                  if is_normal(h, f))
 
 
@@ -384,22 +382,20 @@ def _check_prop_nq(h: Hypergroup) -> str | None:
 
 def _check_lem_cq(h: Hypergroup) -> str | None:
     """Commutators commute with quotients: [C, D] projects onto [CF/F, DF/F]
-    for every normal F, closed C and D.  Both sides are index reads in
-    `_commutator_positions` of h and of H//F, members carried to the positions
-    of their projections.  The witness is the first failing (F, C, D) in order.
-    """
-    masks, base = all_closed_subsets(h).masks, _commutator_positions(h)
-    rows = [itemgetter(*line) for line in base]
+    for every proper normal F, closed C and D.  Both sides are index reads in
+    `_commutator_positions` of h (built at the first F) and of H//F, members
+    carried to the positions of their projections; the witness is the first failing (F, C, D)."""
+    masks = all_closed_subsets(h).masks
     for f, q in _normal_quotients(h):
         at = all_closed_subsets(q.induced).index.get
         proj = [at(project_subset(q, m)) for m in masks]
         if None in proj:
             raise InternalMismatch(f"projection of {members(masks[proj.index(None)])} "
                                    f"over {members(f)} is not closed")
-        table, spread = _commutator_positions(q.induced), itemgetter(*proj)
-        quo = [spread(line) for line in table]
-        for c, p, row, line in zip(masks, proj, rows, base):
-            if quo[p] != row(proj):
+        base, table = _commutator_positions(h), _commutator_positions(q.induced)
+        quo = list(map(itemgetter(*proj), table))
+        for c, p, line in zip(masks, proj, base):
+            if quo[p] != itemgetter(*line)(proj):
                 d = next(d for d, pd, k in zip(masks, proj, line) if table[p][pd] != proj[k])
                 return f"kernel {members(f)}, C {members(c)}, D {members(d)}"
     return None
@@ -449,9 +445,9 @@ def _check_lem_qu(h: Hypergroup) -> str | None:
 
 
 def _check_lem_sn(h: Hypergroup) -> str | None:
-    """Strong normalizers commute with quotients."""
+    """Strong normalizers commute with quotients, over every proper kernel."""
     lat = all_closed_subsets(h)
-    for k in lat.masks:
+    for k in lat.masks[1:-1]:
         q = build_quotient(h, k)
         for f in (k, *lat.supersets(k)):
             pf = project_subset(q, f)

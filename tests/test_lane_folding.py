@@ -13,7 +13,7 @@ import pytest
 
 from hyperalg import series
 from hyperalg.closed import EmptySet, all_closed_subsets
-from hyperalg.core import validate
+from hyperalg.core import union_over, validate
 from hyperalg.groups import cyclic, direct_product, from_group
 from hyperalg.quotient import build_quotient, project_subset
 from hyperalg.series import commutator_elements, commutator_subset
@@ -87,7 +87,8 @@ def test_projection_matches_member_loop(hypergroups):
 
 
 def test_commutator_positions_match_pair_route(corpus, a5, thin_imports):
-    """Both triangles, so the mirrored one is checked, not assumed."""
+    """Every entry, so [C, D] = [D, C], which the rows shared by commutator
+    vector rely on, is checked, not assumed."""
     c2_4_c3 = cyclic(3)
     for _ in range(4):
         c2_4_c3 = direct_product(c2_4_c3, cyclic(2))
@@ -98,6 +99,23 @@ def test_commutator_positions_match_pair_route(corpus, a5, thin_imports):
     for h in (TRIVIAL, *corpus, a5, big, *quotients):
         want = positions_by_pairs(h, commutator_subset)
         assert series._commutator_positions(h) == want, h.table
+
+
+def test_commutator_positions_sample_order64(order64):
+    """A seeded sample of 200 entries of each order-64 table against
+    `commutator_subset`; one row object per distinct commutator vector."""
+    rng = random.Random(1901)
+    rows = []
+    for h in order64:
+        lat, table = all_closed_subsets(h), series._commutator_positions(h)
+        for _ in range(200):
+            i, j = rng.randrange(len(lat)), rng.randrange(len(lat))
+            want = lat.index[commutator_subset(h, lat.masks[i], lat.masks[j])]
+            assert table[i][j] == want, (h.order, i, j)
+        vectors = {union_over(series._commutator_columns(h), c) for c in lat.masks}
+        assert len({id(row) for row in table}) == len(vectors)
+        rows.append(len(vectors))
+    assert rows[0] == 1  # C2^6 is abelian: every commutator is trivial
 
 
 def test_order_one():

@@ -5,13 +5,14 @@ import pytest
 
 import group_oracle as oracle
 from hyperalg import series
-from hyperalg.closed import all_closed_subsets, is_normal, is_strongly_normal
+from hyperalg.closed import all_closed_subsets, is_closed, is_normal, is_strongly_normal
 from hyperalg.core import mask_of, members, validate
 from hyperalg.quotient import build_quotient, project_subset
 from hyperalg.series import (
     InternalMismatch,
     NotRT,
     UnknownStatement,
+    Verdict,
     closed_center_series,
     commutator_elements,
     commutator_subset,
@@ -306,6 +307,28 @@ def test_prop_s_witness_matches_sub_hypergroup_route(corpus, thin_imports, monke
         "closed subset (0, 2, 4, 6, 8, 10) is not nilpotent"
 
 
+def test_skipped_kernels_give_h_itself_and_one_point(corpus, a5):
+    """Why the quotient statements leave out the kernels {1} and H: over {1}
+    the quotient is h itself and projects every member onto itself, and over H
+    it has one element.  The kernels visited are the other normal members."""
+    for h in (*corpus, a5):
+        lat = all_closed_subsets(h)
+        q = build_quotient(h, 1)
+        assert q.induced is h, h.table
+        assert all(project_subset(q, m) == m for m in lat.masks), h.table
+        assert build_quotient(h, h.full).induced.order == 1, h.table
+        want = [f for f in lat.masks if f not in (1, h.full) and is_normal(h, f)]
+        assert [f for f, _ in series._normal_quotients(h)] == want, h.table
+
+
+def test_lem_cq_builds_no_table_without_a_proper_kernel(a5, monkeypatch):
+    """a5 has no normal closed subset but {1} and H, so `lem-cq` holds on it
+    without building a commutator position table."""
+    monkeypatch.setattr(series, "_commutator_positions", lambda g: pytest.fail("table built"))
+    assert series._normal_quotients(a5) == ()
+    assert verify_statement(a5, "lem-cq") == Verdict("lem-cq", "holds")
+
+
 def lem_cq_by_triples(h):
     """`lem-cq` oracle: every (normal F, closed C, closed D) in lattice
     order, each quotient commutator taken on its own; (status, witness)."""
@@ -360,10 +383,10 @@ def test_lem_cq_witness_matches_triple_loop(thin_imports, monkeypatch):
 
 def test_lem_cq_projection_not_closed_raises(thin_imports, monkeypatch):
     """A planted fault: over d4's kernel (0, 2), every projection is the
-    lone block 1, which is not closed, so no position can be read."""
+    lone block 1, which is not closed, so no position can be read.  The
+    kernel is found by value, not by its place among the kernels."""
     h = thin_imports["d4"]
-    f, target = series._normal_quotients(h)[1]
-    assert members(f) == (0, 2)
+    target = dict(series._normal_quotients(h))[mask_of((0, 2))]
     original = series.project_subset
     monkeypatch.setattr(series, "project_subset",
                         lambda q, s: 2 if q is target else original(q, s))
@@ -425,6 +448,29 @@ def test_lem_qu_planted_witness(thin_imports, monkeypatch):
     assert got["a4"] == "holds"
 
 
+def lem_sn_over_every_kernel(h):
+    """`lem-sn` oracle: every closed kernel K, {1} and H included, then every
+    closed F containing K in lattice order, strong normalizers read through
+    `series` so that a planted fault reaches them; (status, witness)."""
+    lat, normalizer = all_closed_subsets(h), series.strong_normalizer
+    for k in lat.masks:
+        q = build_quotient(h, k)
+        for f in (k, *lat.supersets(k)):
+            pf = project_subset(q, f)
+            if not is_closed(q.induced, pf):
+                raise InternalMismatch(f"projection of {members(f)} over "
+                                       f"{members(k)} is not closed")
+            if normalizer(q.induced, pf) != project_subset(q, normalizer(h, f)):
+                return "VIOLATED", f"kernel {members(k)}, subset {members(f)}"
+    return "holds", None
+
+
+def test_lem_sn_matches_every_kernel_loop(corpus, a5):
+    for h in (*corpus, a5):
+        got = verify_statement(h, "lem-sn")
+        assert (got.status, got.witness) == lem_sn_over_every_kernel(h) == ("holds", None), h.table
+
+
 def test_lem_sn_planted_witness(thin_imports, monkeypatch):
     """A planted fault: strong normalizers in non-thin quotients are trivial.
     Only quotients over kernels that are not normal are non-thin, so this
@@ -437,6 +483,9 @@ def test_lem_sn_planted_witness(thin_imports, monkeypatch):
                    "d6": "kernel (0, 6), subset (0, 6)",
                    "c12": "holds",
                    "a4": "kernel (0, 3), subset (0, 3)"}
+    for name in PLANTED:  # skipping the kernels {1} and H changes no witness
+        status, witness = lem_sn_over_every_kernel(thin_imports[name])
+        assert got[name] == (witness if status == "VIOLATED" else status), name
 
 
 def test_lem_main1_fault_raises_while_building_the_series(thin_imports, monkeypatch):
