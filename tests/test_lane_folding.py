@@ -105,7 +105,7 @@ def test_commutator_positions_sample_order64(order64):
     """A seeded sample of 200 entries of each order-64 table against
     `commutator_subset`; one row object per distinct commutator vector."""
     rng = random.Random(1901)
-    rows = []
+    vector_counts = []
     for h in order64:
         lat, table = all_closed_subsets(h), series._commutator_positions(h)
         for _ in range(200):
@@ -114,8 +114,8 @@ def test_commutator_positions_sample_order64(order64):
             assert table[i][j] == want, (h.order, i, j)
         vectors = {union_over(series._commutator_columns(h), c) for c in lat.masks}
         assert len({id(row) for row in table}) == len(vectors)
-        rows.append(len(vectors))
-    assert rows[0] == 1  # C2^6 is abelian: every commutator is trivial
+        vector_counts.append(len(vectors))
+    assert vector_counts[0] == 1  # C2^6 is abelian: every commutator is trivial
 
 
 def test_order_one():
