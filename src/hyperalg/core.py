@@ -320,21 +320,13 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
     if bad_id:
         raise IdentityViolation(bad_id[0], count=len(bad_id))
 
-    star = [0] * order
-    none_rows = []
-    multi_rows = []
-    for i in range(order):
-        js = [j for j in range(order) if table[i][j] & 1]
-        if not js:
-            none_rows.append(i)
-        elif len(js) > 1:
-            multi_rows.append(i)
-        else:
-            star[i] = js[0]
-    if none_rows and (not multi_rows or none_rows[0] < multi_rows[0]):
-        raise NoInverse(none_rows[0], count=len(none_rows))
-    if multi_rows:
-        raise AmbiguousInverse(multi_rows[0], count=len(multi_rows))
+    # Per row i, the j with the identity in i·j; star(i) is the only one.
+    inverses = [[j for j in range(order) if table[i][j] & 1] for i in range(order)]
+    bad = [i for i in range(order) if len(inverses[i]) != 1]
+    if bad:
+        error = AmbiguousInverse if inverses[bad[0]] else NoInverse
+        raise error(bad[0], count=sum(bool(inverses[i]) == bool(inverses[bad[0]]) for i in bad))
+    star = [js[0] for js in inverses]
 
     h = Hypergroup(order=order, table=table, star=tuple(star))
 

@@ -14,9 +14,7 @@ from hyperalg.core import Hypergroup, HypergroupError, InternalMismatch, validat
 
 
 class NotAGroup(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
+    """A table that is not the Cayley table of a group with identity 0."""
 
 
 def from_group(table: list[list[int]]) -> Hypergroup:

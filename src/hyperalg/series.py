@@ -93,16 +93,17 @@ def commutator_subset(h: Hypergroup, amask: int, bmask: int) -> int:
 
 
 @memo
-def _commutator_positions(h: Hypergroup) -> tuple[tuple[int, ...], ...]:
-    """Lattice position of [C, D], row C, column D.  `commutator_subset`'s fold
-    reads C only through its commutator vector (the OR of its columns), so the
-    members with one vector share one row, U·L lookups for U vectors.  Row C holds
+def _commutator_positions(h: Hypergroup) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(row, rows): the position of [C, D], C and D at positions i and j, is rows[row[i]][j].
+    `commutator_subset`'s fold reads C only through its commutator vector (the OR of its
+    columns), so there is one row per distinct vector, U·L lookups for U vectors.  Row C holds
     [D, C], which is [C, D]: star reverses products (H3), closed subsets are star-stable."""
     lat = all_closed_subsets(h)
     vectors = [union_over(_commutator_columns(h), c) for c in lat.masks]
+    number = {v: r for r, v in enumerate(dict.fromkeys(vectors))}
     of = [lanes(d) for d in lat.masks]
-    rows = {v: tuple(lat.position(fold_lanes(v & ld, h.order)) for ld in of) for v in set(vectors)}
-    return tuple(rows[v] for v in vectors)
+    rows = tuple(tuple(lat.position(fold_lanes(v & ld, h.order)) for ld in of) for v in number)
+    return tuple(number[v] for v in vectors), rows
 
 
 @memo
@@ -381,10 +382,10 @@ def _check_prop_nq(h: Hypergroup) -> str | None:
 
 
 def _check_lem_cq(h: Hypergroup) -> str | None:
-    """Commutators commute with quotients: [C, D] projects onto [CF/F, DF/F]
-    for every proper normal F, closed C and D.  Both sides are index reads in
-    `_commutator_positions` of h (built at the first F) and of H//F, members
-    carried to the positions of their projections; the witness is the first failing (F, C, D)."""
+    """Commutators commute with quotients: [C, D] projects onto [CF/F, DF/F] for every
+    proper normal F, closed C and D.  Per F, each distinct pair (row of C, quotient row of
+    CF/F) in `_commutator_positions` of h and H//F is compared once, the row pushed through
+    the projections against the quotient row read at them; a failing F is rescanned for (C, D)."""
     masks = all_closed_subsets(h).masks
     for f, q in _normal_quotients(h):
         at = all_closed_subsets(q.induced).index.get
@@ -392,12 +393,12 @@ def _check_lem_cq(h: Hypergroup) -> str | None:
         if None in proj:
             raise InternalMismatch(f"projection of {members(masks[proj.index(None)])} "
                                    f"over {members(f)} is not closed")
-        base, table = _commutator_positions(h), _commutator_positions(q.induced)
-        quo = list(map(itemgetter(*proj), table))
-        for c, p, line in zip(masks, proj, base):
-            if quo[p] != itemgetter(*line)(proj):
-                d = next(d for d, pd, k in zip(masks, proj, line) if table[p][pd] != proj[k])
-                return f"kernel {members(f)}, C {members(c)}, D {members(d)}"
+        (row, rows), (qrow, qrows) = _commutator_positions(h), _commutator_positions(q.induced)
+        pushed, read = [itemgetter(*x)(proj) for x in rows], [itemgetter(*proj)(x) for x in qrows]
+        if any(pushed[r] != read[s] for r, s in set(zip(row, map(qrow.__getitem__, proj)))):
+            return next(f"kernel {members(f)}, C {members(c)}, D {members(d)}"
+                        for c, r, p in zip(masks, row, proj)
+                        for d, pd, k in zip(masks, proj, rows[r]) if qrows[qrow[p]][pd] != proj[k])
     return None
 
 

@@ -79,6 +79,18 @@ def test_ambiguous_inverse():
     assert err.value.witness == 1 and err.value.count == 1
 
 
+@pytest.mark.parametrize("table, error", [
+    ([[1, 2, 4], [2, 1, 1], [4, 4, 4]], AmbiguousInverse),  # row 2 has none
+    ([[1, 2, 4], [2, 2, 2], [4, 1, 1]], NoInverse),         # row 2 has two
+])
+def test_first_row_without_one_inverse_names_the_error(table, error):
+    """Rows with no identity-bearing cell and rows with several: the first
+    such row names the error, and the count is of the rows like it."""
+    with pytest.raises(error) as err:
+        validate(3, table)
+    assert err.value.witness == 1 and err.value.count == 1
+
+
 def test_assoc_violation_witness():
     with pytest.raises(AssocViolation) as err:
         validate(3, ASSOC_BAD3)

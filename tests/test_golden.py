@@ -13,7 +13,10 @@ tables, and pins them byte for byte.
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from hyperalg.cli import main
+from hyperalg.groups import cyclic, dihedral, direct_product, from_group
 from hyperalg.harness import enumerated_entries, group_entries
 from hyperalg.report import analyze, render_machine
 
@@ -39,6 +42,26 @@ def test_corpus_reports_match_digest():
     assert len(entries) == 459
     digest = hashlib.sha256(_reports(entries).encode("utf-8")).hexdigest()
     assert digest == "76988043f501ae5aed617f992d34ee79365d454fca5bbf9af88218ea1f8b6eed"
+
+
+def _power_of_c2(table, n):
+    for _ in range(n):
+        table = direct_product(table, cyclic(2))
+    return table
+
+
+@pytest.mark.parametrize("name, table, want", [
+    ("c2^5", _power_of_c2(cyclic(2), 4),
+     "36ff3ccb2d41287f6d6b97c7fc0ca559098eefd4a12de884374b3f4ec4eca7f9"),
+    ("d4xc2^3", _power_of_c2(dihedral(4), 3),
+     "8dcc467aa04b4f5bf2e72cf6203dd90f9c839b33d825c633c034d2cc9c3d9d9e"),
+])
+def test_order32_and_64_reports_match_digest(name, table, want):
+    """C2^5 (374 closed subsets) and D4×C2^3 (937), the inputs on which
+    `lem-cq` dominates `analyze`; the digests were taken before `lem-cq`
+    compared commutator rows instead of members."""
+    text = render_machine(analyze(from_group(table), name=name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
 
 
 def test_verify_tallies_match_golden(capsys):

@@ -371,8 +371,14 @@ def test_lem_cq_witness_matches_triple_loop(thin_imports, monkeypatch):
             return h.full
         return commutator_subset(h, a, b)
 
+    def factored(g):
+        """The faulty table in `_commutator_positions`' form, equal rows shared."""
+        full = positions_by_pairs(g, faulty)
+        rows = tuple(dict.fromkeys(full))
+        return tuple(map(rows.index, full)), rows
+
     monkeypatch.setattr(series, "commutator_subset", faulty)
-    monkeypatch.setattr(series, "_commutator_positions", lambda g: positions_by_pairs(g, faulty))
+    monkeypatch.setattr(series, "_commutator_positions", factored)
     got = {name: _lem_cq(h) for name, h in groups.items()}
     for name, h in groups.items():
         assert got[name] == lem_cq_by_triples(h), name
