@@ -17,7 +17,6 @@ from hyperalg.closed import (
     is_closed,
     is_normal,
     is_strongly_normal,
-    maximal_closed_subsets,
     strong_normalizer,
 )
 from hyperalg.core import (
@@ -43,7 +42,6 @@ from hyperalg.quotient import (
     build_quotient,
     lift_blocks,
     project_subset,
-    quotient_is_thin,
 )
 from hyperalg.report import AnalysisReport, analyze, render_machine, render_text
 from hyperalg.series import (
@@ -77,8 +75,7 @@ __all__ = [
     "closed_center", "closed_center_series", "commutator_elements",
     "commutator_subset", "enumerate_hypergroups", "from_group",
     "generated_closure", "inv_hypercenter", "is_closed", "is_nilpotent", "is_normal", "is_solvable", "is_strongly_normal",
-    "lift_blocks", "lower_central_series", "mask_of", "maximal_closed_subsets",
-    "members", "project_subset", "quotient_is_thin",
+    "lift_blocks", "lower_central_series", "mask_of", "members", "project_subset",
     "render_machine", "render_text", "rt_analysis", "run_harness",
     "statement_ids", "strong_normalizer", "thin_residue",
     "valency", "validate", "verify_statement",

@@ -4,8 +4,8 @@ A closed subset is represented by its bitmask; a mask F is closed when
 F*F is contained in F (equivalently: contains the identity, star-stable,
 and idempotent under the set product).  No sub-hypergroup is ever
 built: the products and stars of a closed K's members stay in K, so a
-question about K as a hypergroup in its own right (normality of F in K,
-its lower central series) is decided on the ambient table.
+question about K as a hypergroup in its own right (strong normality of F
+in K, its lower central series) is decided on the ambient table.
 """
 
 from __future__ import annotations
@@ -62,22 +62,15 @@ def generated_closure(h: Hypergroup, seed: int) -> int:
 
 
 @memo
-def _normalized_by(h: Hypergroup, f: int, xs: int) -> bool:
-    """F·x inside x·F for every x in xs, containment forcing equality: lane x of
-    the ORs of F's packed rows and columns, one comparison on xs's lanes.
-    Memoised here, so `is_normal` (xs = H) and `normal_in` share one cache."""
-    of_xs = lanes(xs)
-    fx, xf = union_over(h.packed_rows, f) & of_xs, union_over(h.packed_cols, f) & of_xs
+def is_normal(h: Hypergroup, f: int) -> bool:
+    """F·x inside x·F for every element x, containment forcing equality: the
+    ORs of F's packed rows and columns, lane x holding F·x and x·F."""
+    fx, xf = union_over(h.packed_rows, f), union_over(h.packed_cols, f)
     if fx & ~xf:
         return False
     if fx != xf:
         raise InternalMismatch(f"F·x inside x·F but not equal for F = {members(f)}")
     return True
-
-
-def is_normal(h: Hypergroup, f: int) -> bool:
-    """F·x inside x·F for every element x; containment forces equality."""
-    return _normalized_by(h, f, h.full)
 
 
 def is_strongly_normal(h: Hypergroup, f: int) -> bool:
@@ -126,7 +119,7 @@ class ClosedSubsetLattice:
     """Every closed subset of one hypergroup, with (strong) normality edges.
 
     Members are sorted by (size, mask) so reports are deterministic.
-    Normality of F inside a member K is decided on the ambient table.
+    Strong normality of F inside a member K is decided on the ambient table.
     """
 
     hypergroup: Hypergroup
@@ -164,36 +157,23 @@ class ClosedSubsetLattice:
         up, masks = self.above(f), self.masks
         return tuple(masks[i] for i in bits(up & (up - 1)))
 
-    def normal_in(self, f: int, k: int) -> bool:
-        """F·x inside x·F for every x in k: f normal in the sub-hypergroup on k."""
-        return _normalized_by(self.hypergroup, f, k)
-
     def strongly_normal_in(self, f: int, k: int) -> bool:
         """Is star(x)·F·x inside F for every x in k?"""
         return k & ~strong_normalizer(self.hypergroup, f) == 0
 
     @memo
-    def _subnormal(self, strongly: bool) -> set[int]:
-        """Members joined to H by (strongly) normal steps, in one pass down the
-        lattice: f is in when a strict superset it is (strongly) normal in is."""
-        edge = self.strongly_normal_in if strongly else self.normal_in
+    def _strongly_subnormal(self) -> set[int]:
+        """Members joined to H by strongly normal steps, in one pass down the
+        lattice: f is in when a strict superset it is strongly normal in is."""
         found = {self.hypergroup.full}
         for f in reversed(self.masks):
-            if any(k in found and edge(f, k) for k in self.supersets(f)):
+            if any(k in found and self.strongly_normal_in(f, k) for k in self.supersets(f)):
                 found.add(f)
         return found
 
-    def is_subnormal(self, f: int) -> bool:
-        """Is the member f joined to H by a chain of normal steps?"""
-        return f in self._subnormal(False)
-
     def is_strongly_subnormal(self, f: int) -> bool:
         """Is the member f joined to H by a chain of strongly normal steps?"""
-        return f in self._subnormal(True)
-
-    def maximal_members(self) -> list[int]:
-        """Proper closed subsets whose only strict superset is H."""
-        return [m for m in self.masks if self.above(m).bit_count() == 2]
+        return f in self._strongly_subnormal()
 
     def strongly_normal_members(self) -> list[int]:
         h = self.hypergroup
@@ -234,7 +214,3 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
     positions = tuple(mask_of(i for i, m in enumerate(masks) if m >> x & 1) for x in h.elements())
     index = {m: i for i, m in enumerate(masks)}
     return ClosedSubsetLattice(hypergroup=h, masks=masks, positions=positions, index=index)
-
-
-def maximal_closed_subsets(h: Hypergroup) -> list[int]:
-    return all_closed_subsets(h).maximal_members()

@@ -181,8 +181,6 @@ class Hypergroup:
     packed_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
     packed_cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    identity = 0
-
     def __post_init__(self) -> None:
         rows, cols = packed(self.table), tuple(zip(*self.table))
         object.__setattr__(self, "packed_rows", rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hyperalg.closed import is_closed, is_strongly_normal
+from hyperalg.closed import is_closed
 from hyperalg.core import Hypergroup, InternalMismatch, bits, mask_of, memo, union_over, validate
 
 
@@ -21,8 +21,6 @@ class NotClosed(Exception):
 
 @dataclass(frozen=True)
 class Quotient:
-    base: Hypergroup
-    kernel: int
     blocks: tuple[int, ...]
     block_of: tuple[int, ...]
     block_bit: tuple[int, ...]  # 1 << block_of[x]
@@ -78,8 +76,8 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     if any(induced.star[block_of[x]] != block_of[h.star[x]] for x in h.elements()):
         raise InternalMismatch("the star of a block is not the block of the star")
 
-    return Quotient(base=h, kernel=f, blocks=tuple(blocks), block_of=tuple(block_of),
-                    block_bit=block_bit, reps=mask_of(reps), induced=induced)
+    return Quotient(blocks=tuple(blocks), block_of=tuple(block_of), block_bit=block_bit,
+                    reps=mask_of(reps), induced=induced)
 
 
 def project_subset(q: Quotient, s: int) -> int:
@@ -90,15 +88,3 @@ def project_subset(q: Quotient, s: int) -> int:
 def lift_blocks(q: Quotient, bmask: int) -> int:
     """Union of the member blocks, as an element set of the base."""
     return union_over(q.blocks, bmask)
-
-
-def quotient_is_thin(q: Quotient) -> bool:
-    """Thinness of the induced hypergroup.
-
-    Equivalent to strong normality of the kernel in the base; both sides
-    are computed and the equivalence checked on every call.
-    """
-    thin = q.induced.is_thin()
-    if thin != is_strongly_normal(q.base, q.kernel):
-        raise InternalMismatch("thin quotient disagrees with strong normality")
-    return thin

@@ -26,7 +26,7 @@ from hyperalg.enumeration import enumerate_hypergroups
 from hyperalg.fileformat import parse, serialize
 from hyperalg.groups import alternating, builtin_groups, from_group
 from hyperalg.harness import CorpusEntry, run_harness
-from hyperalg.quotient import build_quotient, project_subset, quotient_is_thin
+from hyperalg.quotient import build_quotient, project_subset
 from hyperalg.report import analyze, render_machine
 from hyperalg.series import (
     InternalMismatch,
@@ -180,7 +180,7 @@ def _quotient_lemma_problems(h) -> list[str]:
         for x in h.elements():
             if q.induced.star[q.block_of[x]] != q.block_of[h.star[x]]:
                 out.append(f"quotient star transport fails, kernel {members(f)}")
-        if quotient_is_thin(q) != is_strongly_normal(h, f):
+        if q.induced.is_thin() != is_strongly_normal(h, f):
             out.append(f"thin quotient mismatch, kernel {members(f)}")
     normals = [m for m in lat.masks if is_normal(h, m)]
     for n in normals:

@@ -259,6 +259,19 @@ def test_src_imports_only_stdlib():
             if name.split(".")[0] not in allowed] == []
 
 
+def test_public_surface_is_all():
+    """`from hyperalg import *` works, and `__all__` names each public
+    non-module attribute of the package once, with nothing stale in it."""
+    import hyperalg
+
+    exec("from hyperalg import *", {})  # an entry that does not resolve raises here
+    names = hyperalg.__all__
+    assert len(names) == len(set(names))
+    public = {n for n, v in vars(hyperalg).items()
+              if not n.startswith("_") and not isinstance(v, type(hyperalg))}
+    assert set(names) == public
+
+
 def test_no_environment_read_in_src():
     """Behaviour is chosen by arguments alone: no `os.environ` or `os.getenv`."""
     names = ("environ", "getenv")

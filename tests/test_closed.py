@@ -14,7 +14,6 @@ from hyperalg.closed import (
     is_closed,
     is_normal,
     is_strongly_normal,
-    maximal_closed_subsets,
     strong_normalizer,
 )
 from hyperalg.core import Hypergroup, InternalMismatch, mask_of, members
@@ -175,13 +174,6 @@ def supersets_by_scan(lat, f):
     return tuple(m for m in lat.masks if m != f and f & ~m == 0)
 
 
-def is_maximal_by_scan(lat, m):
-    """A proper member with no proper strict superset, by that scan
-    (oracle for `ClosedSubsetLattice.maximal_members`)."""
-    full = lat.hypergroup.full
-    return m != full and not any(k != full for k in supersets_by_scan(lat, m))
-
-
 def lattice_cases(corpus, a5, order64):
     """(lattice, members in lattice order): every member for the corpus and
     a5; for each order-64 lattice, {1}, H and a seeded sample of 32 members,
@@ -240,7 +232,7 @@ def test_normality_matches_group_oracle(thin_imports, group_tables):
 
 def reachable_by_search(lat, f, edge):
     """Is H reached from the member f by steps f -> k with edge(f, k), k a strict
-    superset?  A depth-first search per member (oracle for `is_subnormal` and
+    superset?  A depth-first search per member (oracle for
     `is_strongly_subnormal`)."""
     full = lat.hypergroup.full
     seen = {f}
@@ -258,9 +250,7 @@ def reachable_by_search(lat, f, edge):
 
 def test_subnormality(s3, thin_imports, corpus, a5, order64):
     lat = all_closed_subsets(s3)
-    assert lat.is_subnormal(s3.full)
     assert lat.is_strongly_subnormal(A3)
-    assert not lat.is_subnormal(T12)
     assert not lat.is_strongly_subnormal(T12)
     d4 = thin_imports["d4"]
     d4lat = all_closed_subsets(d4)
@@ -269,7 +259,6 @@ def test_subnormality(s3, thin_imports, corpus, a5, order64):
     for lat, sample in lattice_cases(corpus, a5, order64):
         for m in sample:
             where = (lat.hypergroup.table, m)
-            assert lat.is_subnormal(m) == reachable_by_search(lat, m, lat.normal_in), where
             strongly = reachable_by_search(lat, m, lat.strongly_normal_in)
             assert lat.is_strongly_subnormal(m) == strongly, where
 
@@ -341,18 +330,6 @@ def test_strong_normalizer(s3, c2_thin):
     assert strong_normalizer(s3, T12) == T12  # self-normalizing
 
 
-def test_maximal_closed_subsets(nonthin2, s3, thin_imports, corpus, a5, order64):
-    c4 = thin_imports["c4"]
-    assert maximal_closed_subsets(c4) == [mask_of([0, 2])]
-    assert maximal_closed_subsets(nonthin2) == [1]
-    s3_max = maximal_closed_subsets(s3)
-    assert sorted(s3_max) == sorted([A3, T12, mask_of([0, 2]), mask_of([0, 5])])
-    for lat, sample in lattice_cases(corpus, a5, order64):
-        maximal = set(lat.maximal_members())
-        want = [m for m in sample if is_maximal_by_scan(lat, m)]
-        assert [m for m in sample if m in maximal] == want, lat.hypergroup.table
-
-
 def test_sub_hypergroup_revalidates(small_corpus):
     for h in small_corpus:
         for m in all_closed_subsets(h).masks:
@@ -378,7 +355,7 @@ def _strongly_normal_by_loop(sub, f) -> bool:
 
 def normalized_by_loop(h, f, xs):
     """F·x inside x·F for every x in xs, one element at a time, raising on
-    containment without equality (oracle for `is_normal` and `normal_in`)."""
+    containment without equality (oracle for `is_normal`)."""
     fx, xf = h.left_products(f), h.right_products(f)
     unequal = False
     for x in members(xs):
@@ -392,9 +369,10 @@ def normalized_by_loop(h, f, xs):
 
 def test_lattice_edges_match_sub_hypergroup_route(corpus, a5):
     """Every pair f ⊆ k of closed subsets, over all order-2..4 survivors, the
-    bundled groups <= 12 and a5: normality against the element loop, and for
-    f ⊂ k both edges decided on the ambient table and again inside the
-    sub-hypergroup on k."""
+    bundled groups <= 12 and a5: normality in H against the element loop, and
+    for f ⊂ k normality inside the sub-hypergroup on k against that loop, and
+    the strong edge decided on the ambient table and again inside that
+    sub-hypergroup."""
     for h in [*corpus, a5]:
         lat = all_closed_subsets(h)
         for k in lat.masks:
@@ -403,13 +381,12 @@ def test_lattice_edges_match_sub_hypergroup_route(corpus, a5):
                 if f & ~k:
                     continue
                 where = (h.table, members(f), members(k))
-                assert lat.normal_in(f, k) == normalized_by_loop(h, f, k), where
                 if k == h.full:
                     assert is_normal(h, f) == normalized_by_loop(h, f, k), where
                 if f == k:
                     continue
                 small = to_sub_mask(f, elems)
-                assert lat.normal_in(f, k) == is_normal(sub, small), where
+                assert is_normal(sub, small) == normalized_by_loop(h, f, k), where
                 strong = _strongly_normal_by_loop(sub, small)
                 assert lat.strongly_normal_in(f, k) == strong, where
                 if strong:

@@ -7,7 +7,7 @@ from hyperalg.closed import all_closed_subsets, generated_closure, is_closed, is
 from hyperalg.core import HypergroupError, validate
 from hyperalg.enumeration import enumerate_hypergroups
 from hyperalg.groups import builtin_groups, from_group
-from hyperalg.quotient import build_quotient, lift_blocks, project_subset, quotient_is_thin
+from hyperalg.quotient import build_quotient, lift_blocks, project_subset
 from hyperalg.series import commutator_subset
 from set_products import (
     closure_by_scan,
@@ -121,7 +121,7 @@ def test_lane_folding_matches_pair_loops(case):
 def test_quotient_laws(case):
     h, f = case
     q = build_quotient(h, f)
-    assert quotient_is_thin(q) == is_strongly_normal(h, f)
+    assert q.induced.is_thin() == is_strongly_normal(h, f)
     all_blocks = (1 << len(q.blocks)) - 1
     assert project_subset(q, lift_blocks(q, all_blocks)) == all_blocks
     assert lift_blocks(q, project_subset(q, f)) == f

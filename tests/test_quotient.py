@@ -7,7 +7,6 @@ from hyperalg.quotient import (
     build_quotient,
     lift_blocks,
     project_subset,
-    quotient_is_thin,
 )
 from set_products import double_coset, set_product_many
 
@@ -81,7 +80,8 @@ def test_s3_mod_a3_is_c2(s3):
     assert len(q) == 2
     assert q.blocks == (A3, mask_of([1, 2, 5]))
     assert q.induced.table == ((1, 2), (2, 1))
-    assert quotient_is_thin(q)
+    assert q.induced.is_thin()
+    assert q.induced.is_thin() == is_strongly_normal(s3, A3)
 
 
 def test_not_closed_kernel_rejected(s3):
@@ -93,7 +93,7 @@ def test_thinness_matches_strong_normality(small_corpus):
     for h in small_corpus:
         for f in all_closed_subsets(h).masks:
             q = build_quotient(h, f)
-            assert quotient_is_thin(q) == is_strongly_normal(h, f)
+            assert q.induced.is_thin() == is_strongly_normal(h, f)
 
 
 def test_project_and_lift(s3):
