@@ -5,7 +5,8 @@ F*F is contained in F (equivalently: contains the identity, star-stable,
 and idempotent under the set product).  No sub-hypergroup is ever
 built: the products and stars of a closed K's members stay in K, so a
 question about K as a hypergroup in its own right (strong normality of F
-in K, its lower central series) is decided on the ambient table.
+in K, read off F's strong normalizer, or K's lower central series) is
+decided on the ambient table.
 """
 
 from __future__ import annotations
@@ -116,10 +117,10 @@ def strong_normalizer(h: Hypergroup, f: int) -> int:
 
 @dataclass
 class ClosedSubsetLattice:
-    """Every closed subset of one hypergroup, with (strong) normality edges.
+    """Every closed subset of one hypergroup, in order: the members, which
+    members hold each element, and closure by lookup.
 
     Members are sorted by (size, mask) so reports are deterministic.
-    Strong normality of F inside a member K is decided on the ambient table.
     """
 
     hypergroup: Hypergroup
@@ -156,28 +157,6 @@ class ClosedSubsetLattice:
         """Strict supersets of the member f, in order: the positions above its own."""
         up, masks = self.above(f), self.masks
         return tuple(masks[i] for i in bits(up & (up - 1)))
-
-    def strongly_normal_in(self, f: int, k: int) -> bool:
-        """Is star(x)·F·x inside F for every x in k?"""
-        return k & ~strong_normalizer(self.hypergroup, f) == 0
-
-    @memo
-    def _strongly_subnormal(self) -> set[int]:
-        """Members joined to H by strongly normal steps, in one pass down the
-        lattice: f is in when a strict superset it is strongly normal in is."""
-        found = {self.hypergroup.full}
-        for f in reversed(self.masks):
-            if any(k in found and self.strongly_normal_in(f, k) for k in self.supersets(f)):
-                found.add(f)
-        return found
-
-    def is_strongly_subnormal(self, f: int) -> bool:
-        """Is the member f joined to H by a chain of strongly normal steps?"""
-        return f in self._strongly_subnormal()
-
-    def strongly_normal_members(self) -> list[int]:
-        h = self.hypergroup
-        return [m for m in self.masks if is_strongly_normal(h, m)]
 
 
 @memo

@@ -8,7 +8,7 @@ cannot survive the test suite.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hyperalg.core import Hypergroup, HypergroupError, InternalMismatch, validate
 
@@ -111,24 +111,9 @@ def symmetric(n: int) -> list[list[int]]:
     return _perm_group([tuple(p) for p in permutations(range(n))])
 
 
-def _parity(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    sign = 0
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        sign ^= (length - 1) & 1
-    return sign
-
-
 def alternating(n: int) -> list[list[int]]:
-    return _perm_group([tuple(p) for p in permutations(range(n)) if _parity(p) == 0])
+    return _perm_group([p for p in permutations(range(n))
+                        if sum(a > b for a, b in combinations(p, 2)) % 2 == 0])
 
 
 def _builtin_tables() -> list[tuple[str, list[list[int]]]]:

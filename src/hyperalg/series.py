@@ -14,7 +14,8 @@ checked exactly without listing any chain.  A disagreement, or a broken
 series invariant, raises InternalMismatch because it can only mean a bug.
 
 Each kernel is worked out once per hypergroup: `_thin_steps` lists the
-strongly normal steps out of a closed subset, for `is_solvable` and the
+strongly normal steps out of a closed subset, the one home of that edge,
+for strong subnormality (`thm-strongly`), `is_solvable` and the
 valencies, and `_normal_quotients` lists (F, H//F) over the proper normal F
 for every quotient statement but `lem-sn`, which visits every proper kernel.
 Over {1} and H the quotient is H itself and a point: no statement fails there.
@@ -23,7 +24,6 @@ Over {1} and H the quotient is H itself and a point: no statement fails there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable
 
 from hyperalg.closed import (
@@ -94,16 +94,20 @@ def commutator_subset(h: Hypergroup, amask: int, bmask: int) -> int:
 
 @memo
 def _commutator_positions(h: Hypergroup) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(row, rows): the position of [C, D], C and D at positions i and j, is rows[row[i]][j].
-    `commutator_subset`'s fold reads C only through its commutator vector (the OR of its
-    columns), so there is one row per distinct vector, U·L lookups for U vectors.  Row C holds
-    [D, C], which is [C, D]: star reverses products (H3), closed subsets are star-stable."""
+    """(row, table): the position of [C, D], C and D at positions i and j, is
+    table[row[i]][row[j]].  `commutator_subset`'s fold reads D only through its commutator
+    vector (the OR of its columns), and [C, D] = [D, C] (star reverses products by H3, and
+    closed subsets are star-stable), so C too: U·U lookups for U distinct vectors, each
+    taken at the first member with that vector, and `row` numbers every member's vector."""
     lat = all_closed_subsets(h)
     vectors = [union_over(_commutator_columns(h), c) for c in lat.masks]
-    number = {v: r for r, v in enumerate(dict.fromkeys(vectors))}
-    of = [lanes(d) for d in lat.masks]
-    rows = tuple(tuple(lat.position(fold_lanes(v & ld, h.order)) for ld in of) for v in number)
-    return tuple(number[v] for v in vectors), rows
+    first: dict[int, int] = {}
+    for v, c in zip(vectors, lat.masks):
+        first.setdefault(v, c)
+    number = {v: r for r, v in enumerate(first)}
+    table = tuple(tuple(lat.position(fold_lanes(v & lanes(c), h.order)) for v in first)
+                  for c in first.values())
+    return tuple(number[v] for v in vectors), table
 
 
 @memo
@@ -176,10 +180,10 @@ def thin_residue(h: Hypergroup) -> int:
     route two closes the union of the sets star(x)·x.  The two must agree
     and the result must itself be strongly normal.
     """
-    lat = all_closed_subsets(h)
     meet = h.full
-    for m in lat.strongly_normal_members():
-        meet &= m
+    for m in all_closed_subsets(h).masks:
+        if is_strongly_normal(h, m):
+            meet &= m
     gen = 0
     for x in h.elements():
         gen |= h.table[h.star[x]][x]
@@ -213,10 +217,22 @@ def _step_order(h: Hypergroup, f: int, k: int) -> int:
 
 @memo
 def _thin_steps(h: Hypergroup, f: int) -> tuple[tuple[int, int], ...]:
-    """(K, |K//F|) for every strongly normal step F ⊂ K, K in lattice order."""
-    lat = all_closed_subsets(h)
-    return tuple((k, _step_order(h, f, k)) for k in lat.supersets(f)
-                 if lat.strongly_normal_in(f, k))
+    """(K, |K//F|) for every strongly normal step F ⊂ K, K in lattice order: star(x)·F·x
+    inside F for every x in K, that is K inside F's strong normalizer."""
+    normalizer = strong_normalizer(h, f)
+    return tuple((k, _step_order(h, f, k)) for k in all_closed_subsets(h).supersets(f)
+                 if k & ~normalizer == 0)
+
+
+@memo
+def _strongly_subnormal(h: Hypergroup) -> set[int]:
+    """Members joined to H by strongly normal steps, in one pass down the lattice:
+    f is in when a thin step out of it reaches a member already in."""
+    found = {h.full}
+    for f in reversed(all_closed_subsets(h).masks[:-1]):
+        if any(k in found for k, _ in _thin_steps(h, f)):
+            found.add(f)
+    return found
 
 
 @memo
@@ -336,9 +352,9 @@ def _check_thm_ct(h: Hypergroup) -> str | None:
 def _check_thm_strongly(h: Hypergroup) -> str | None:
     """In a nilpotent hypergroup every nontrivial closed subset is strongly
     subnormal."""
-    lat = all_closed_subsets(h)
-    for m in lat.masks:
-        if m != 1 and not lat.is_strongly_subnormal(m):
+    found = _strongly_subnormal(h)
+    for m in all_closed_subsets(h).masks[1:]:
+        if m not in found:
             return f"closed subset {members(m)} not strongly subnormal"
     return None
 
@@ -383,9 +399,9 @@ def _check_prop_nq(h: Hypergroup) -> str | None:
 
 def _check_lem_cq(h: Hypergroup) -> str | None:
     """Commutators commute with quotients: [C, D] projects onto [CF/F, DF/F] for every
-    proper normal F, closed C and D.  Per F, each distinct pair (row of C, quotient row of
-    CF/F) in `_commutator_positions` of h and H//F is compared once, the row pushed through
-    the projections against the quotient row read at them; a failing F is rescanned for (C, D)."""
+    proper normal F, closed C and D.  Per F, C is read only through its key (row of C,
+    quotient row of CF/F) in `_commutator_positions` of h and H//F, so each ordered pair
+    of distinct keys is compared once; a failing F is rescanned for (C, D)."""
     masks = all_closed_subsets(h).masks
     for f, q in _normal_quotients(h):
         at = all_closed_subsets(q.induced).index.get
@@ -393,12 +409,12 @@ def _check_lem_cq(h: Hypergroup) -> str | None:
         if None in proj:
             raise InternalMismatch(f"projection of {members(masks[proj.index(None)])} "
                                    f"over {members(f)} is not closed")
-        (row, rows), (qrow, qrows) = _commutator_positions(h), _commutator_positions(q.induced)
-        pushed, read = [itemgetter(*x)(proj) for x in rows], [itemgetter(*proj)(x) for x in qrows]
-        if any(pushed[r] != read[s] for r, s in set(zip(row, map(qrow.__getitem__, proj)))):
+        (row, table), (qrow, qtable) = _commutator_positions(h), _commutator_positions(q.induced)
+        keys = set(zip(row, map(qrow.__getitem__, proj)))
+        if any(proj[table[r][t]] != qtable[s][u] for r, s in keys for t, u in keys):
             return next(f"kernel {members(f)}, C {members(c)}, D {members(d)}"
-                        for c, r, p in zip(masks, row, proj)
-                        for d, pd, k in zip(masks, proj, rows[r]) if qrows[qrow[p]][pd] != proj[k])
+                        for c, r, p in zip(masks, row, proj) for d, t, pd in zip(masks, row, proj)
+                        if proj[table[r][t]] != qtable[qrow[p]][qrow[pd]])
     return None
 
 

@@ -59,7 +59,8 @@ def commutator_generator_by_pairs(table, amask: int, bmask: int) -> int:
 def positions_by_pairs(h, pair) -> tuple[tuple[int, ...], ...]:
     """Lattice position of ``pair(h, C, D)`` for every pair of lattice members,
     row C, column D, one call each (with `series.commutator_subset`, the
-    oracle for `series._commutator_positions`)."""
+    oracle for `series._commutator_positions`, whose entry for C and D at
+    positions i and j is `table[row[i]][row[j]]`)."""
     masks = all_closed_subsets(h).masks
     where = {m: i for i, m in enumerate(masks)}
     return tuple(tuple(where[pair(h, c, d)] for d in masks) for c in masks)

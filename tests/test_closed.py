@@ -3,7 +3,7 @@ import random
 import pytest
 
 import group_oracle as oracle
-from hyperalg import closed
+from hyperalg import closed, series
 from hyperalg.closed import (
     EmptySet,
     all_closed_subsets,
@@ -230,10 +230,15 @@ def test_normality_matches_group_oracle(thin_imports, group_tables):
             assert is_strongly_normal(h, m) == want
 
 
+def strongly_normal_in(h, f, k):
+    """Is star(x)·F·x inside F for every x in K?  K inside F's strong normalizer."""
+    return k & ~strong_normalizer(h, f) == 0
+
+
 def reachable_by_search(lat, f, edge):
     """Is H reached from the member f by steps f -> k with edge(f, k), k a strict
     superset?  A depth-first search per member (oracle for
-    `is_strongly_subnormal`)."""
+    `series._strongly_subnormal`, which reads the steps off `series._thin_steps`)."""
     full = lat.hypergroup.full
     seen = {f}
     stack = [f]
@@ -249,18 +254,36 @@ def reachable_by_search(lat, f, edge):
 
 
 def test_subnormality(s3, thin_imports, corpus, a5, order64):
-    lat = all_closed_subsets(s3)
-    assert lat.is_strongly_subnormal(A3)
-    assert not lat.is_strongly_subnormal(T12)
+    assert A3 in series._strongly_subnormal(s3)
+    assert T12 not in series._strongly_subnormal(s3)
     d4 = thin_imports["d4"]
-    d4lat = all_closed_subsets(d4)
-    for m in d4lat.masks:
-        assert d4lat.is_strongly_subnormal(m)
+    for m in all_closed_subsets(d4).masks:
+        assert m in series._strongly_subnormal(d4)
     for lat, sample in lattice_cases(corpus, a5, order64):
+        h = lat.hypergroup
         for m in sample:
-            where = (lat.hypergroup.table, m)
-            strongly = reachable_by_search(lat, m, lat.strongly_normal_in)
-            assert lat.is_strongly_subnormal(m) == strongly, where
+            strongly = reachable_by_search(lat, m, lambda f, k: strongly_normal_in(h, f, k))
+            assert (m in series._strongly_subnormal(h)) == strongly, (h.table, m)
+
+
+def test_thm_strongly_witness_matches_search(thin_imports, monkeypatch):
+    """A planted fault: every 2-element F is strongly normal only in itself,
+    so none is strongly subnormal.  The witness is the first member after {1}
+    that the search oracle, under the same faulty edge, cannot join to H."""
+    def faulty(h, f):
+        return f if f.bit_count() == 2 else strong_normalizer(h, f)
+
+    monkeypatch.setattr(series, "strong_normalizer", faulty)
+    want = {"c8": (0, 4), "c4xc2": (0, 1), "d4": (0, 2), "q8": (0, 1), "c12": (0, 6)}
+    for name, witness in want.items():
+        h = thin_imports[name]
+        monkeypatch.delitem(h.__dict__, "_memo", raising=False)
+        lat = all_closed_subsets(h)
+        first = next(m for m in lat.masks[1:]
+                     if not reachable_by_search(lat, m, lambda f, k: k & ~faulty(h, f) == 0))
+        assert members(first) == witness, name
+        assert series.verify_statement(h, "thm-strongly") == series.Verdict(
+            "thm-strongly", "VIOLATED", f"closed subset {witness} not strongly subnormal"), name
 
 
 def test_centralizer(s3, thin_imports, group_tables):
@@ -388,7 +411,7 @@ def test_lattice_edges_match_sub_hypergroup_route(corpus, a5):
                 small = to_sub_mask(f, elems)
                 assert is_normal(sub, small) == normalized_by_loop(h, f, k), where
                 strong = _strongly_normal_by_loop(sub, small)
-                assert lat.strongly_normal_in(f, k) == strong, where
+                assert strongly_normal_in(h, f, k) == strong, where
                 if strong:
                     assert _step_order(h, f, k) == len(build_quotient(sub, small)), where
 

@@ -87,8 +87,8 @@ def test_projection_matches_member_loop(hypergroups):
 
 
 def test_commutator_positions_match_pair_route(corpus, a5, thin_imports):
-    """Every entry, so [C, D] = [D, C], which the rows shared by commutator
-    vector rely on, is checked, not assumed."""
+    """Every entry, so [C, D] = [D, C], which the table shared by commutator
+    vector relies on, is checked, not assumed."""
     c2_4_c3 = cyclic(3)
     for _ in range(4):
         c2_4_c3 = direct_product(c2_4_c3, cyclic(2))
@@ -98,23 +98,23 @@ def test_commutator_positions_match_pair_route(corpus, a5, thin_imports):
     assert len(all_closed_subsets(big)) == 134
     for h in (TRIVIAL, *corpus, a5, big, *quotients):
         want = positions_by_pairs(h, commutator_subset)
-        row, rows = series._commutator_positions(h)
-        assert tuple(rows[r] for r in row) == want, h.table
+        row, table = series._commutator_positions(h)
+        assert tuple(tuple(table[r][t] for t in row) for r in row) == want, h.table
 
 
 def test_commutator_positions_sample_order64(order64):
     """A seeded sample of 200 entries of each order-64 table against
-    `commutator_subset`; one row per distinct commutator vector."""
+    `commutator_subset`; one row and column per distinct commutator vector."""
     rng = random.Random(1901)
     vector_counts = []
     for h in order64:
-        lat, (row, rows) = all_closed_subsets(h), series._commutator_positions(h)
+        lat, (row, table) = all_closed_subsets(h), series._commutator_positions(h)
         for _ in range(200):
             i, j = rng.randrange(len(lat)), rng.randrange(len(lat))
             want = lat.index[commutator_subset(h, lat.masks[i], lat.masks[j])]
-            assert rows[row[i]][j] == want, (h.order, i, j)
+            assert table[row[i]][row[j]] == want, (h.order, i, j)
         vectors = {union_over(series._commutator_columns(h), c) for c in lat.masks}
-        assert len(rows) == len(vectors)
+        assert len(table) == len(vectors) and {len(r) for r in table} == {len(vectors)}
         vector_counts.append(len(vectors))
     assert vector_counts[0] == 1  # C2^6 is abelian: every commutator is trivial
 
