@@ -100,9 +100,8 @@ def _cmd_from_group(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    statements = statement_ids() if args.statements is None else tuple(args.statements)
     corpus = build_corpus(max_enum_order=args.order, groups_up_to=args.groups_up_to)
-    report = run_harness(corpus, statements)
+    report = run_harness(corpus, args.statements)
     for line in report.lines():
         print(line)
     return 1 if report.violated else 0

@@ -120,10 +120,10 @@ class ClosedSubsetLattice:
     """Every closed subset of one hypergroup, in order: the members, which
     members hold each element, and closure by lookup.
 
-    Members are sorted by (size, mask) so reports are deterministic.
+    Members are sorted by (size, mask) so reports are deterministic.  The
+    lattice keeps no reference to its hypergroup, which memoises it.
     """
 
-    hypergroup: Hypergroup
     masks: tuple[int, ...]
     positions: tuple[int, ...]  # element x -> bit i set iff masks[i] holds x
     index: dict[int, int]  # member mask -> its position in masks
@@ -192,4 +192,4 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
     masks = tuple(sorted(gens, key=lambda m: (m.bit_count(), m)))
     positions = tuple(mask_of(i for i, m in enumerate(masks) if m >> x & 1) for x in h.elements())
     index = {m: i for i, m in enumerate(masks)}
-    return ClosedSubsetLattice(hypergroup=h, masks=masks, positions=positions, index=index)
+    return ClosedSubsetLattice(masks=masks, positions=positions, index=index)

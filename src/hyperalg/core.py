@@ -186,16 +186,9 @@ class Hypergroup:
         object.__setattr__(self, "packed_rows", rows)
         object.__setattr__(self, "packed_cols", rows if cols == self.table else packed(cols))
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
         # Unpickling goes through the validator, so copies are interned too.
         return validate, (self.order, self.table)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.order, self.table))
 
     @property
     def full(self) -> int:

@@ -39,7 +39,6 @@ class OrderOutOfRange(Exception):
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    order: int
     candidates: int
     rejects: dict[str, int]
     survivors: tuple[Hypergroup, ...]
@@ -151,7 +150,7 @@ def enumerate_hypergroups(order: int, canonicalize: bool = False) -> Enumeration
     survivors.sort(key=lambda h: h.table)
 
     result = EnumerationResult(
-        order=order, candidates=total, rejects=rejects, survivors=tuple(survivors),
+        candidates=total, rejects=rejects, survivors=tuple(survivors),
         canonical=tuple(canonical_representatives(survivors)) if canonicalize else None)
     if result.candidates != result.reject_total() + len(result.survivors):
         raise InternalMismatch("candidates must equal rejects plus survivors")

@@ -1,8 +1,9 @@
 """Cayley tables of small groups and their import as thin hypergroups.
 
-Tables are lists of rows of element indices with the identity at index 0.
+Tables are lists of rows of element indices with the identity at index 0;
+each bundled one is built from its multiplication rule, never typed out.
 Bundled and user-supplied tables alike are checked by the hypergroup
-validator, which is a group checker on singleton cells, so a typo here
+validator, which is a group checker on singleton cells, so a wrong rule
 cannot survive the test suite.
 """
 
@@ -57,42 +58,26 @@ def direct_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def dihedral(n: int) -> list[list[int]]:
-    """Order-2n dihedral group: rotations 0..n-1, reflections n..2n-1."""
+    """Order-2n dihedral group: x = n·f + a is the rotation by a, followed by
+    a reflection when f = 1, and (f, a)(g, b) = (f ^ g, b - a if g else a + b)."""
     def mul(x, y):
-        fx, ax = divmod(x, n)
-        fy, ay = divmod(y, n)
-        if fx == 0 and fy == 0:
-            return (ax + ay) % n
-        if fx == 0 and fy == 1:
-            return n + (ay - ax) % n
-        if fx == 1 and fy == 0:
-            return n + (ax + ay) % n
-        return (ay - ax) % n
+        (f, a), (g, b) = divmod(x, n), divmod(y, n)
+        return n * (f ^ g) + (b - a if g else a + b) % n
     return [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
 
 
 def quaternion8() -> list[list[int]]:
-    """Unit quaternions 1,-1,i,-i,j,-j,k,-k."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {
-        ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
-        ("i", "1"): "i", ("i", "i"): "-1", ("i", "j"): "k", ("i", "k"): "-j",
-        ("j", "1"): "j", ("j", "i"): "-k", ("j", "j"): "-1", ("j", "k"): "i",
-        ("k", "1"): "k", ("k", "i"): "j", ("k", "j"): "-i", ("k", "k"): "-1",
-    }
-
-    def mul(x: str, y: str) -> str:
-        sign = 1
-        if x.startswith("-"):
-            sign, x = -sign, x[1:]
-        if y.startswith("-"):
-            sign, y = -sign, y[1:]
-        z = base[(x, y)]
-        if z.startswith("-"):
-            sign, z = -sign, z[1:]
-        return z if sign > 0 else "-" + z
-
-    return [[names.index(mul(x, y)) for y in names] for x in names]
+    """Unit quaternions 1,-1,i,-i,j,-j,k,-k: x = 2u + s is unit u of
+    (1, i, j, k) with sign (-1)^s.  Units multiply as i·i = -1 and
+    i·j = k, j·k = i, k·i = j, their reversals taking the minus sign."""
+    def mul(x, y):
+        (u, s), (v, t) = divmod(x, 2), divmod(y, 2)
+        if not u or not v:
+            return 2 * (u | v) + (s ^ t)
+        if u == v:
+            return s ^ t ^ 1
+        return 2 * (u ^ v) + (s ^ t ^ ((v - u) % 3 != 1))
+    return [[mul(x, y) for y in range(8)] for x in range(8)]
 
 
 def _perm_group(perms: list[tuple[int, ...]]) -> list[list[int]]:

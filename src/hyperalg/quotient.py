@@ -21,14 +21,12 @@ class NotClosed(Exception):
 
 @dataclass(frozen=True)
 class Quotient:
+    """H//F: the double cosets, kernel first, and the induced hypergroup on their indices."""
+
     blocks: tuple[int, ...]
-    block_of: tuple[int, ...]
-    block_bit: tuple[int, ...]  # 1 << block_of[x]
+    block_bit: tuple[int, ...]  # element x -> 1 << the index of its block
     reps: int  # each block's smallest member; a union of blocks S projects as S & reps
     induced: Hypergroup
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 @memo
@@ -76,8 +74,7 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     if any(induced.star[block_of[x]] != block_of[h.star[x]] for x in h.elements()):
         raise InternalMismatch("the star of a block is not the block of the star")
 
-    return Quotient(blocks=tuple(blocks), block_of=tuple(block_of), block_bit=block_bit,
-                    reps=mask_of(reps), induced=induced)
+    return Quotient(blocks=tuple(blocks), block_bit=block_bit, reps=mask_of(reps), induced=induced)
 
 
 def project_subset(q: Quotient, s: int) -> int:

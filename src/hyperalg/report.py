@@ -48,7 +48,7 @@ class AnalysisReport:
         full = tuple(range(self.order))
         if not (self.lower_central[0] == full
                 and self.closed_center_series[-1] == self.inv_hypercenter
-                and (not self.nilpotent or self.nilpotency_class is not None and self.solvable)
+                and (not self.nilpotent or self.nilpotency_class is not None)
                 and (not self.solvable or None not in (self.solvable_chain, self.solvable_orders))
                 and (not self.rt or self.valency is not None)
                 and (not self.thin or self.thin_part == full)):

@@ -39,5 +39,4 @@ def naive_enumerate(order: int) -> EnumerationResult:
     survivors.sort(key=lambda h: h.table)
     if t ** cells != sum(rejects.values()) + len(survivors):
         raise InternalMismatch("candidates must equal rejects plus survivors")
-    return EnumerationResult(order=order, candidates=t ** cells, rejects=rejects,
-                             survivors=tuple(survivors))
+    return EnumerationResult(candidates=t ** cells, rejects=rejects, survivors=tuple(survivors))

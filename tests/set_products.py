@@ -77,5 +77,5 @@ def project_by_members(q, s: int) -> int:
     `project_subset`)."""
     out = 0
     for x in bits(s):
-        out |= 1 << q.block_of[x]
+        out |= q.block_bit[x]
     return out

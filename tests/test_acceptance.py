@@ -60,7 +60,7 @@ def enum_corpus(enum2, enum3):
     entries = []
     for result in (enum2, enum3, enum4):
         for i, h in enumerate(result.survivors):
-            entries.append((f"enum{result.order}_{i:03d}", h))
+            entries.append((f"enum{h.order}_{i:03d}", h))
     return entries
 
 
@@ -178,7 +178,7 @@ def _quotient_lemma_problems(h) -> list[str]:
     for f in lat.masks:
         q = build_quotient(h, f)
         for x in h.elements():
-            if q.induced.star[q.block_of[x]] != q.block_of[h.star[x]]:
+            if q.induced.set_star(q.block_bit[x]) != q.block_bit[h.star[x]]:
                 out.append(f"quotient star transport fails, kernel {members(f)}")
         if q.induced.is_thin() != is_strongly_normal(h, f):
             out.append(f"thin quotient mismatch, kernel {members(f)}")

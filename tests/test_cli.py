@@ -26,6 +26,7 @@ from hyperalg.fileformat import (
 )
 from hyperalg.groups import from_group, symmetric
 from hyperalg.report import analyze, render_machine
+from hyperalg.series import verify_statement
 
 
 C2_TEXT = """hypergroup v1
@@ -284,7 +285,25 @@ def test_no_environment_read_in_src():
 def test_inconsistent_report_raises(thin_imports):
     report = analyze(thin_imports["c4"], name="c4")
     with pytest.raises(InternalMismatch):
-        replace(report, solvable=False).check_consistency()
+        replace(report, solvable_chain=None).check_consistency()
+
+
+def test_thm_ns_fault_is_reported_not_raised(thin_imports, monkeypatch):
+    """A planted fault: with solvability patched to fail, c4 is nilpotent but
+    not solvable.  `analyze` reports thm-ns VIOLATED with the witness that
+    `verify_statement` gives, rather than raising on the same contradiction."""
+    def never(h):
+        return False, None, None
+
+    monkeypatch.setattr("hyperalg.series.is_solvable", never)
+    monkeypatch.setattr("hyperalg.report.is_solvable", never)
+    c4 = thin_imports["c4"]
+    want = ("VIOLATED", "no solvability chain exists")
+    got = verify_statement(c4, "thm-ns")
+    assert (got.status, got.witness) == want
+    report = analyze(c4, name="c4")
+    assert (report.nilpotent, report.solvable) == (True, False)
+    assert report.statements["thm-ns"] == want
 
 
 def test_relabel_must_fix_the_identity(thin_imports):

@@ -1,4 +1,5 @@
 import random
+from math import gcd, prod
 
 import pytest
 
@@ -17,6 +18,7 @@ from hyperalg.closed import (
     strong_normalizer,
 )
 from hyperalg.core import Hypergroup, InternalMismatch, mask_of, members
+from hyperalg.groups import cyclic, dihedral, direct_product, from_group
 from hyperalg.quotient import build_quotient
 from hyperalg.series import _step_order
 from set_products import set_product_many
@@ -175,17 +177,17 @@ def supersets_by_scan(lat, f):
 
 
 def lattice_cases(corpus, a5, order64):
-    """(lattice, members in lattice order): every member for the corpus and
-    a5; for each order-64 lattice, {1}, H and a seeded sample of 32 members,
-    sampled only to keep the scans short."""
+    """(h, its lattice, members in lattice order): every member for the corpus
+    and a5; for each order-64 lattice, {1}, H and a seeded sample of 32
+    members, sampled only to keep the scans short."""
     rng = random.Random(16)
     for h in [*corpus, a5]:
         lat = all_closed_subsets(h)
-        yield lat, lat.masks
+        yield h, lat, lat.masks
     for h in order64:
         lat = all_closed_subsets(h)
         sample = {1, h.full, *rng.sample(lat.masks, min(32, len(lat)))}
-        yield lat, sorted(sample, key=lat.masks.index)
+        yield h, lat, sorted(sample, key=lat.masks.index)
 
 
 def test_lattice_closure_matches_fixpoint_closure(corpus, a5, order64):
@@ -202,10 +204,10 @@ def test_lattice_closure_matches_fixpoint_closure(corpus, a5, order64):
         lat.closure(0)
     with pytest.raises(EmptySet):
         lat.position(0)
-    for lat, sample in lattice_cases(corpus, a5, order64):
-        assert len(lat.index) == len(lat), lat.hypergroup.table
+    for h, lat, sample in lattice_cases(corpus, a5, order64):
+        assert len(lat.index) == len(lat), h.table
         for m in sample:
-            where = (lat.hypergroup.table, m)
+            where = (h.table, m)
             assert lat.index[m] == lat.position(m) == lat.masks.index(m), where
             assert lat.supersets(m) == supersets_by_scan(lat, m), where
 
@@ -216,6 +218,39 @@ def test_closed_subsets_are_subgroups_for_imports(thin_imports, group_tables):
             continue
         got = {frozenset(members(m)) for m in all_closed_subsets(h).masks}
         assert got == oracle.all_subgroups(group_tables[name]), name
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def subspaces(k):
+    """Subspaces of GF(2)^k, the subgroups of C2^k: the sum over the dimensions
+    j of the Gaussian binomials [k j]_2."""
+    return sum(prod(2 ** (k - i) - 1 for i in range(j)) // prod(2 ** (i + 1) - 1 for i in range(j))
+               for j in range(k + 1))
+
+
+def test_lattice_counts_match_group_theory(order64):
+    """Closed subsets of a group are its subgroups, counted by formula at orders
+    32 and 64: tau(n) for C_n; the sum of gcd(a, b) over a, b | n for C_n × C_n;
+    tau(n) + sigma(n) for D_n, the rotation subgroups <r^d> and the d dihedral
+    subgroups <r^d, r^i s> per divisor d of n; subspaces for C2^k."""
+    c2_6, d32 = order64
+    c2_5 = [[0]]
+    for _ in range(5):
+        c2_5 = direct_product(c2_5, cyclic(2))
+    cases = {
+        "c64": (from_group(cyclic(64)), len(divisors(64))),  # 7
+        "c8xc8": (from_group(direct_product(cyclic(8), cyclic(8))),
+                  sum(gcd(a, b) for a in divisors(8) for b in divisors(8))),  # 37
+        "d16": (from_group(dihedral(16)), len(divisors(16)) + sum(divisors(16))),  # 36
+        "d32": (d32, len(divisors(32)) + sum(divisors(32))),  # 69
+        "c2^5": (from_group(c2_5), subspaces(5)),  # 374
+        "c2^6": (c2_6, subspaces(6)),  # 2825
+    }
+    got = {name: len(all_closed_subsets(h)) for name, (h, _) in cases.items()}
+    assert got == {name: want for name, (_, want) in cases.items()}
 
 
 def test_normality_matches_group_oracle(thin_imports, group_tables):
@@ -239,7 +274,7 @@ def reachable_by_search(lat, f, edge):
     """Is H reached from the member f by steps f -> k with edge(f, k), k a strict
     superset?  A depth-first search per member (oracle for
     `series._strongly_subnormal`, which reads the steps off `series._thin_steps`)."""
-    full = lat.hypergroup.full
+    full = lat.masks[-1]
     seen = {f}
     stack = [f]
     while stack:
@@ -259,8 +294,7 @@ def test_subnormality(s3, thin_imports, corpus, a5, order64):
     d4 = thin_imports["d4"]
     for m in all_closed_subsets(d4).masks:
         assert m in series._strongly_subnormal(d4)
-    for lat, sample in lattice_cases(corpus, a5, order64):
-        h = lat.hypergroup
+    for h, lat, sample in lattice_cases(corpus, a5, order64):
         for m in sample:
             strongly = reachable_by_search(lat, m, lambda f, k: strongly_normal_in(h, f, k))
             assert (m in series._strongly_subnormal(h)) == strongly, (h.table, m)
@@ -413,7 +447,7 @@ def test_lattice_edges_match_sub_hypergroup_route(corpus, a5):
                 strong = _strongly_normal_by_loop(sub, small)
                 assert strongly_normal_in(h, f, k) == strong, where
                 if strong:
-                    assert _step_order(h, f, k) == len(build_quotient(sub, small)), where
+                    assert _step_order(h, f, k) == len(build_quotient(sub, small).blocks), where
 
 
 def test_normality_guard_raises():

@@ -242,7 +242,7 @@ def _chain_valencies(h, c) -> set[int]:
             big, elems = sub_hypergroup(sub, k)
             small = to_sub_mask(f, elems)
             if is_strongly_normal(big, small):
-                walk(k, v * len(build_quotient(big, small)))
+                walk(k, v * build_quotient(big, small).induced.order)
 
     walk(1, 1)
     return products
