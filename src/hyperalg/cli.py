@@ -13,7 +13,7 @@ import sys
 from hyperalg.closed import EmptySet
 from hyperalg.core import HypergroupError, InternalMismatch, mask_of
 from hyperalg.enumeration import OrderOutOfRange, enumerate_hypergroups
-from hyperalg.fileformat import FileFormatError, parse, read_table, serialize
+from hyperalg.fileformat import MAX_CHARS, FileFormatError, parse, read_table, serialize
 from hyperalg.groups import NotAGroup, from_group
 from hyperalg.harness import build_corpus, run_harness
 from hyperalg.quotient import NotClosed, build_quotient
@@ -27,7 +27,10 @@ _DOMAIN_ERRORS = (FileFormatError, HypergroupError, NotClosed, NotAGroup,
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = fh.read(MAX_CHARS + 1)
+    if len(text) > MAX_CHARS:
+        raise FileFormatError(f"{path} is longer than {MAX_CHARS} characters")
+    return text
 
 
 def _indices(text: str) -> list[int]:

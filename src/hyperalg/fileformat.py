@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from hyperalg.core import MAX_ORDER, Hypergroup, bits, validate
 
+MAX_CHARS = 1 << 24  # longest text the CLI reads; canonical order-64 tables stay under 800k
+
 
 class FileFormatError(Exception):
     def __init__(self, message: str, line: int | None = None):
@@ -40,44 +42,32 @@ class IndexOutOfRange(FileFormatError):
     pass
 
 
+# The header lines in order: each one's keyword, and what its error says is expected.
+_HEADER = (("hypergroup", "header `hypergroup v1`"), ("name", "`name <token>`"),
+           ("order", "`order <n>`"))
+
+
 def read_table(text: str) -> tuple[str, int, list[list[int]]]:
     """Parse header and cells into (name, order, mask table), no validation."""
-    name = None
-    order = None
-    table: list[list[int]] | None = None
-    filled: set[tuple[int, int]] = set()
-    stage = 0  # 0: expect magic, 1: expect name, 2: expect order, 3: cells
+    lines = ((lineno, tokens) for lineno, tokens in enumerate(
+        (raw.split("#", 1)[0].split() for raw in text.splitlines()), start=1) if tokens)
+    values = []
+    for (keyword, expected), (lineno, tokens) in zip(_HEADER, lines):
+        if len(tokens) != 2 or tokens[0] != keyword or keyword == "hypergroup" and tokens[1] != "v1":
+            raise FormatSyntaxError(f"expected {expected}", lineno)
+        values.append(tokens[1])
+    if len(values) < 3:
+        raise FormatSyntaxError("incomplete header", None)
+    _, name, order_text = values
+    try:
+        order = int(order_text)
+    except ValueError:
+        raise FormatSyntaxError(f"order is not an integer: {order_text!r}", lineno) from None
+    if not 1 <= order <= MAX_ORDER:
+        raise FormatSyntaxError(f"order must be in 1..{MAX_ORDER}, got {order}", lineno)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if stage == 0:
-            if tokens != ["hypergroup", "v1"]:
-                raise FormatSyntaxError("expected header `hypergroup v1`", lineno)
-            stage = 1
-            continue
-        if stage == 1:
-            if len(tokens) != 2 or tokens[0] != "name":
-                raise FormatSyntaxError("expected `name <token>`", lineno)
-            name = tokens[1]
-            stage = 2
-            continue
-        if stage == 2:
-            if len(tokens) != 2 or tokens[0] != "order":
-                raise FormatSyntaxError("expected `order <n>`", lineno)
-            try:
-                order = int(tokens[1])
-            except ValueError:
-                raise FormatSyntaxError(f"order is not an integer: {tokens[1]!r}",
-                                        lineno) from None
-            if not 1 <= order <= MAX_ORDER:
-                raise FormatSyntaxError(f"order must be in 1..{MAX_ORDER}, got {order}",
-                                        lineno)
-            table = [[0] * order for _ in range(order)]
-            stage = 3
-            continue
+    table = [[-1] * order for _ in range(order)]  # -1: not filled yet
+    for lineno, tokens in lines:
         if tokens[0] != "cell":
             raise FormatSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
         if len(tokens) < 4 or tokens[3] != ":":
@@ -90,22 +80,16 @@ def read_table(text: str) -> tuple[str, int, list[list[int]]]:
         if not (0 <= i < order and 0 <= j < order):
             raise IndexOutOfRange(f"cell ({i},{j}) outside order {order}", lineno)
         if any(not 0 <= k < order for k in ks):
-            raise IndexOutOfRange(f"cell ({i},{j}) lists a member outside "
-                                  f"0..{order - 1}", lineno)
+            raise IndexOutOfRange(f"cell ({i},{j}) lists a member outside 0..{order - 1}", lineno)
         if any(a >= b for a, b in zip(ks, ks[1:])):
             raise FormatSyntaxError("cell members must be strictly ascending", lineno)
-        if (i, j) in filled:
+        if table[i][j] >= 0:
             raise DuplicateCell(f"cell ({i},{j}) appears twice", lineno)
-        filled.add((i, j))
         table[i][j] = sum(1 << k for k in ks)
 
-    if stage != 3:
-        raise FormatSyntaxError("incomplete header", None)
-    missing = [(i, j) for i in range(order) for j in range(order)
-               if (i, j) not in filled]
+    missing = [(i, j) for i in range(order) for j in range(order) if table[i][j] < 0]
     if missing:
-        raise MissingCell(f"cell {missing[0]} is missing "
-                          f"({len(missing)} missing in total)", None)
+        raise MissingCell(f"cell {missing[0]} is missing ({len(missing)} missing in total)", None)
     return name, order, table
 
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from hyperalg.core import Hypergroup
 from hyperalg.enumeration import enumerate_hypergroups
 from hyperalg.groups import builtin_groups, from_group
-from hyperalg.series import VIOLATED, Verdict, statement_ids, verify_statement
+from hyperalg.series import (HOLDS, HYPOTHESIS_NOT_MET, VIOLATED, Verdict, statement_ids,
+                             verify_statement)
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class HarnessReport:
         for sid in self.statements:
             bucket = self.tallies.get(sid, {})
             parts = " ".join(f"{status}={bucket.get(status, 0)}"
-                             for status in ("holds", "hypothesis-not-met", VIOLATED))
+                             for status in (HOLDS, HYPOTHESIS_NOT_MET, VIOLATED))
             out.append(f"statement {sid}: {parts}")
         out.append(f"violations = {len(self.violations)}")
         for sid, name, witness in self.violations:

@@ -85,22 +85,66 @@ cell 0 1 : 1
     assert serialize(h, name=name) == C2_TEXT
 
 
-def test_parse_errors():
-    with pytest.raises(FormatSyntaxError):
-        read_table("hypergroup v2\nname x\norder 1\ncell 0 0 : 0\n")
-    with pytest.raises(FormatSyntaxError):
-        read_table(C2_TEXT.replace("cell 1 1 : 0", "cell 1 1 : 1 0"))  # not ascending
-    with pytest.raises(MissingCell):
-        read_table(C2_TEXT.replace("cell 1 1 : 0\n", ""))
-    with pytest.raises(DuplicateCell) as err:
-        read_table(C2_TEXT + "cell 1 1 : 0\n")
-    assert err.value.line == 8
-    with pytest.raises(IndexOutOfRange):
-        read_table(C2_TEXT.replace("cell 1 1 : 0", "cell 1 1 : 2"))
-    with pytest.raises(IndexOutOfRange):
-        read_table(C2_TEXT.replace("cell 1 1 : 0", "cell 1 2 : 0"))
-    with pytest.raises(FormatSyntaxError):
-        read_table("hypergroup v1\nname x\n")  # incomplete header
+READER_ERRORS = [
+    # every `raise` in `read_table`, some lines behind comments and blanks
+    ("hypergroup v2\nname x\norder 1\ncell 0 0 : 0\n",
+     FormatSyntaxError, "expected header `hypergroup v1`", 1),
+    ("# c\n\n  hypergroup v1 extra\n", FormatSyntaxError, "expected header `hypergroup v1`", 3),
+    ("hypergroup v1\nname a b\norder 1\n", FormatSyntaxError, "expected `name <token>`", 2),
+    ("hypergroup v1\n# c\ncell 0 0 : 0\n", FormatSyntaxError, "expected `name <token>`", 3),
+    ("hypergroup v1\nname x\nsize 2\n", FormatSyntaxError, "expected `order <n>`", 3),
+    ("hypergroup v1\nname x\n\norder\n", FormatSyntaxError, "expected `order <n>`", 4),
+    ("hypergroup v1\nname x\norder two\n", FormatSyntaxError,
+     "order is not an integer: 'two'", 3),
+    ("hypergroup v1\nname x\norder 0\n", FormatSyntaxError, "order must be in 1..64, got 0", 3),
+    ("hypergroup v1\nname x # c\norder 65  # c\ncell 0 0 : 0\n", FormatSyntaxError,
+     "order must be in 1..64, got 65", 3),
+    (C2_TEXT + "row 0 : 0\n", FormatSyntaxError, "unknown directive 'row'", 8),
+    (C2_TEXT.replace("cell 0 1 : 1", "cell 0 1 1"), FormatSyntaxError,
+     "expected `cell <i> <j> : <members...>`", 5),
+    (C2_TEXT.replace("cell 0 1 : 1", "cell 0 1"), FormatSyntaxError,
+     "expected `cell <i> <j> : <members...>`", 5),
+    (C2_TEXT.replace("cell 0 1 : 1", "cell a 1 : 1"), FormatSyntaxError,
+     "cell indices must be integers", 5),
+    (C2_TEXT.replace("cell 0 1 : 1", "cell 0 1 : x"), FormatSyntaxError,
+     "cell indices must be integers", 5),
+    (C2_TEXT.replace("cell 1 1 : 0", "cell 1 2 : 0"), IndexOutOfRange,
+     "cell (1,2) outside order 2", 7),
+    (C2_TEXT.replace("cell 1 1 : 0", "cell -1 1 : 9"), IndexOutOfRange,
+     "cell (-1,1) outside order 2", 7),
+    (C2_TEXT.replace("cell 1 1 : 0", "cell 1 1 : 2"), IndexOutOfRange,
+     "cell (1,1) lists a member outside 0..1", 7),
+    (C2_TEXT.replace("cell 1 1 : 0", "cell 1 1 : 2 0"), IndexOutOfRange,
+     "cell (1,1) lists a member outside 0..1", 7),
+    (C2_TEXT.replace("cell 1 1 : 0", "cell 1 1 : 1 0"), FormatSyntaxError,
+     "cell members must be strictly ascending", 7),
+    (C2_TEXT.replace("cell 1 1 : 0", "cell 1 1 : 0 0"), FormatSyntaxError,
+     "cell members must be strictly ascending", 7),
+    (C2_TEXT + "cell 1 1 : 0\n", DuplicateCell, "cell (1,1) appears twice", 8),
+    (C2_TEXT + "\ncell 1 1 : 0 1\n", DuplicateCell, "cell (1,1) appears twice", 9),
+    (C2_TEXT.replace("cell 1 1 : 0\n", ""), MissingCell,
+     "cell (1, 1) is missing (1 missing in total)", None),
+    (C2_TEXT.replace("cell 0 1 : 1\n", "").replace("cell 1 1 : 0\n", ""), MissingCell,
+     "cell (0, 1) is missing (2 missing in total)", None),
+    ("hypergroup v1\nname x\norder 2\n", MissingCell,
+     "cell (0, 0) is missing (4 missing in total)", None),
+    # an incomplete header, with 0, 1 and 2 of its lines
+    ("", FormatSyntaxError, "incomplete header", None),
+    ("# c\n\n   \n", FormatSyntaxError, "incomplete header", None),
+    ("\n# c\nhypergroup v1\n", FormatSyntaxError, "incomplete header", None),
+    ("hypergroup v1\nname x\n", FormatSyntaxError, "incomplete header", None),
+    ("hypergroup v1\n# c\n\nname x  # c\n# order 2\n", FormatSyntaxError,
+     "incomplete header", None),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, line", READER_ERRORS)
+def test_reader_errors_are_pinned(text, cls, message, line):
+    """Each reader error keeps its class, its message and its line number."""
+    with pytest.raises(FileFormatError) as err:
+        read_table(text)
+    want = message if line is None else f"line {line}: {message}"
+    assert (type(err.value), str(err.value), err.value.line) == (cls, want, line)
 
 
 def test_check_command(tmp_path, capsys):
@@ -165,6 +209,35 @@ def test_huge_order_header_is_rejected_before_allocation(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "line 3: order must be in 1..64" in err
+
+
+def test_input_longer_than_the_bound_is_refused(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c2.hg"
+    path.write_text(C2_TEXT)
+    monkeypatch.setattr("hyperalg.cli.MAX_CHARS", len(C2_TEXT))
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("hyperalg.cli.MAX_CHARS", len(C2_TEXT) - 1)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path} is longer than {len(C2_TEXT) - 1} characters\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_input_is_refused(capsys):
+    assert main(["check", "/dev/zero"]) == 1
+    assert capsys.readouterr().err == "error: /dev/zero is longer than 16777216 characters\n"
+
+
+def test_longest_order_64_table_is_read_in_full(tmp_path, capsys):
+    """A canonical order-64 file whose every cell lists all 64 members is the
+    longest one there is; it passes the size bound and fails the axioms."""
+    full = " ".join(str(k) for k in range(64))
+    path = tmp_path / "w.hg"
+    path.write_text("hypergroup v1\nname w\norder 64\n"
+                    + "".join(f"cell {i} {j} : {full}\n" for i in range(64) for j in range(64)))
+    assert path.stat().st_size == 797470
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: row 0: product with the identity")
 
 
 def test_enumerate_command(tmp_path, capsys):

@@ -8,8 +8,11 @@ from hyperalg import series
 from hyperalg.closed import (all_closed_subsets, is_closed, is_normal, is_strongly_normal,
                              strong_normalizer)
 from hyperalg.core import mask_of, members, validate
+from hyperalg.groups import cyclic, dihedral, direct_product, from_group, quaternion8
 from hyperalg.quotient import build_quotient, project_subset
+from hyperalg.report import analyze
 from hyperalg.series import (
+    HOLDS,
     InternalMismatch,
     NotRT,
     UnknownStatement,
@@ -198,6 +201,36 @@ def test_solvable_chain_steps_are_prime_thin(small_corpus, corpus, a5, order64):
             q = build_quotient(sub, to_sub_mask(small, elems))
             assert q.induced.is_thin() and q.induced.order == order
             assert order in (2, 3, 5, 7)
+
+
+def test_order64_groups_match_group_theory(order64):
+    """Six groups of order 64, checked against group theory, not this code.
+    A 2-group is nilpotent and solvable, with six composition steps of order
+    2; a group is thin with valency |G|, and a p-group is its one Sylow
+    p-subset.  An abelian group has class 1 and is its own center.  D32, of
+    order 2^6, has class 5, lower central terms <r^2>, <r^4>, ... of orders
+    16, 8, 4, 2, 1 and center {1, r^16}.  Q8 and D4 have class 2, [G, G] and
+    center of order 2, so their squares have class 2, [G, G] and center of
+    order 4.  All thirteen statements hold."""
+    q8, d4, c4 = quaternion8(), dihedral(4), cyclic(4)
+    cases = {  # name: (group, nilpotency class, lower central orders, center order)
+        "c64": (from_group(cyclic(64)), 1, (64, 1), 64),
+        "c8xc8": (from_group(direct_product(cyclic(8), cyclic(8))), 1, (64, 1), 64),
+        "d32": (order64[1], 5, (64, 16, 8, 4, 2, 1), 2),
+        "c4^3": (from_group(direct_product(direct_product(c4, c4), c4)), 1, (64, 1), 64),
+        "q8xq8": (from_group(direct_product(q8, q8)), 2, (64, 4, 1), 4),
+        "d4xd4": (from_group(direct_product(d4, d4)), 2, (64, 4, 1), 4),
+    }
+    got, want = {}, {}
+    for name, (h, nil_class, lower, center) in cases.items():
+        r = analyze(h, name=name)
+        got[name] = (r.nilpotent, r.nilpotency_class, tuple(len(t) for t in r.lower_central),
+                     len(r.center), r.solvable, r.solvable_orders, r.thin, r.valency,
+                     r.sylow, sorted(sid for sid, (status, _) in r.statements.items()
+                                     if status == HOLDS))
+        want[name] = (True, nil_class, lower, center, True, (2,) * 6, True, 64,
+                      {2: (tuple(range(64)),)}, sorted(statement_ids()))
+    assert got == want
 
 
 def test_rt_analysis_c6(thin_imports):
