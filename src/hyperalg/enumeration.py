@@ -170,16 +170,15 @@ def relabel(h: Hypergroup, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
                  for i in range(n))
 
 
-def canonical_table(h: Hypergroup) -> tuple[tuple[int, ...], ...]:
-    """Minimal relabeled table over all identity-fixing permutations."""
-    return min(relabel(h, (0,) + perm) for perm in permutations(range(1, h.order)))
-
-
 def canonical_representatives(hypergroups) -> list[Hypergroup]:
-    """One validated representative (the minimal table) per relabeling class."""
-    seen = {}
+    """One validated representative (the minimal table) per relabeling class;
+    each orbit is relabeled once, at the first of its members met, and its
+    other members are then found among the tables met."""
+    met = set()  # every table of each orbit met so far
+    reps = []
     for h in hypergroups:
-        key = canonical_table(h)
-        if key not in seen:
-            seen[key] = validate(h.order, key)
-    return sorted(seen.values(), key=lambda h: h.table)
+        if h.table not in met:
+            orbit = [relabel(h, (0,) + perm) for perm in permutations(range(1, h.order))]
+            met.update(orbit)
+            reps.append(validate(h.order, min(orbit)))
+    return sorted(reps, key=lambda h: h.table)

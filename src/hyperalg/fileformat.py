@@ -13,7 +13,7 @@ parse is the identity on any ordering the parser accepts.
 
 from __future__ import annotations
 
-from hyperalg.core import MAX_ORDER, Hypergroup, bits, validate
+from hyperalg.core import MAX_ORDER, Hypergroup, bits, mask_of, validate
 
 MAX_CHARS = 1 << 24  # longest text the CLI reads; canonical order-64 tables stay under 800k
 
@@ -49,10 +49,11 @@ _HEADER = (("hypergroup", "header `hypergroup v1`"), ("name", "`name <token>`"),
 
 def read_table(text: str) -> tuple[str, int, list[list[int]]]:
     """Parse header and cells into (name, order, mask table), no validation."""
-    lines = ((lineno, tokens) for lineno, tokens in enumerate(
-        (raw.split("#", 1)[0].split() for raw in text.splitlines()), start=1) if tokens)
+    lines = ((lineno, line) for lineno, line in enumerate(
+        (raw.split("#", 1)[0] for raw in text.splitlines()), start=1) if line and not line.isspace())
     values = []
-    for (keyword, expected), (lineno, tokens) in zip(_HEADER, lines):
+    for (keyword, expected), (lineno, line) in zip(_HEADER, lines):
+        tokens = line.split(None, 2)
         if len(tokens) != 2 or tokens[0] != keyword or keyword == "hypergroup" and tokens[1] != "v1":
             raise FormatSyntaxError(f"expected {expected}", lineno)
         values.append(tokens[1])
@@ -67,14 +68,17 @@ def read_table(text: str) -> tuple[str, int, list[list[int]]]:
         raise FormatSyntaxError(f"order must be in 1..{MAX_ORDER}, got {order}", lineno)
 
     table = [[-1] * order for _ in range(order)]  # -1: not filled yet
-    for lineno, tokens in lines:
+    for lineno, line in lines:
+        tokens = line.split(None, order + 4)  # a valid cell line has at most order + 4
         if tokens[0] != "cell":
             raise FormatSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
         if len(tokens) < 4 or tokens[3] != ":":
             raise FormatSyntaxError("expected `cell <i> <j> : <members...>`", lineno)
+        if len(tokens) > order + 4:
+            raise FormatSyntaxError(f"cell line lists more than {order} members", lineno)
         try:
             i, j = int(tokens[1]), int(tokens[2])
-            ks = [int(tok) for tok in tokens[4:]]
+            ks = list(map(int, tokens[4:]))
         except ValueError:
             raise FormatSyntaxError("cell indices must be integers", lineno) from None
         if not (0 <= i < order and 0 <= j < order):
@@ -85,7 +89,7 @@ def read_table(text: str) -> tuple[str, int, list[list[int]]]:
             raise FormatSyntaxError("cell members must be strictly ascending", lineno)
         if table[i][j] >= 0:
             raise DuplicateCell(f"cell ({i},{j}) appears twice", lineno)
-        table[i][j] = sum(1 << k for k in ks)
+        table[i][j] = mask_of(ks)
 
     missing = [(i, j) for i in range(order) for j in range(order) if table[i][j] < 0]
     if missing:

@@ -4,7 +4,8 @@ The quotient of H over a closed subset F lives on the double cosets
 F·h·F; the induced product of two blocks is the set of blocks meeting
 a·F·b.  Normality of F is not required.  The induced table is run
 through the full axiom validator (or matches a table that already passed
-it): that is our strongest internal consistency check.
+it): that is our strongest internal consistency check.  Over {1} and
+over H the answer is read off: H itself, and the one-point hypergroup.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     """Partition into double cosets and validate the induced hypergroup.
 
     Blocks are ordered by smallest member, which puts the kernel first.
-    Cached per (hypergroup, kernel).  Over the trivial kernel the induced
-    table is the base table, so interning makes ``induced`` the base itself.
+    Cached per (hypergroup, kernel).  Past the closedness test, {1} gives h
+    itself and H the one-point hypergroup, with no check lost: singleton
+    blocks, or one block, partition H and carry the star, and the rebuilt
+    table would be h's own (which passed the validator) or ((1,),).
 
     Where a·F = F·a (every a when F is normal, the identity always), FaF is
     a·F, and a·F·b = F·(a·b) meets the blocks that a·b meets, since F·y lies
@@ -43,6 +46,11 @@ def build_quotient(h: Hypergroup, f: int) -> Quotient:
     """
     if f == 0 or not is_closed(h, f):
         raise NotClosed(f"kernel {sorted(bits(f))} is not a closed subset")
+    if f == 1:
+        points = tuple(1 << x for x in h.elements())
+        return Quotient(blocks=points, block_bit=points, reps=h.full, induced=h)
+    if f == h.full:
+        return Quotient(blocks=(f,), block_bit=(1,) * h.order, reps=1, induced=validate(1, ((1,),)))
 
     fx, xf = h.left_products(f), h.right_products(f)
     blocks: list[int] = []

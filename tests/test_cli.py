@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,6 +121,8 @@ READER_ERRORS = [
      "cell members must be strictly ascending", 7),
     (C2_TEXT.replace("cell 1 1 : 0", "cell 1 1 : 0 0"), FormatSyntaxError,
      "cell members must be strictly ascending", 7),
+    (C2_TEXT.replace("cell 1 1 : 0", "cell 1 1 : 0 1 0"), FormatSyntaxError,
+     "cell line lists more than 2 members", 7),
     (C2_TEXT + "cell 1 1 : 0\n", DuplicateCell, "cell (1,1) appears twice", 8),
     (C2_TEXT + "\ncell 1 1 : 0 1\n", DuplicateCell, "cell (1,1) appears twice", 9),
     (C2_TEXT.replace("cell 1 1 : 0\n", ""), MissingCell,
@@ -238,6 +241,20 @@ def test_longest_order_64_table_is_read_in_full(tmp_path, capsys):
     assert path.stat().st_size == 797470
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: row 0: product with the identity")
+
+
+def test_long_cell_line_is_refused_before_its_members_are_read():
+    """A cell line of 700,000 members fails at once, holding under 5x its text."""
+    text = "hypergroup v1\nname x\norder 2\ncell 0 0 :" + " 10" * 700_000 + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatSyntaxError) as err:
+            read_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "line 4: cell line lists more than 2 members"
+    assert peak < 5 * len(text), (peak, len(text))
 
 
 def test_enumerate_command(tmp_path, capsys):

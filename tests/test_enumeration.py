@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import permutations
 
 import pytest
@@ -8,10 +10,10 @@ from hyperalg.core import members
 from hyperalg.enumeration import (
     OrderOutOfRange,
     canonical_representatives,
-    canonical_table,
     enumerate_hypergroups,
     relabel,
 )
+from hyperalg.fileformat import serialize
 from hyperalg.groups import (
     NotAGroup,
     builtin_groups,
@@ -22,12 +24,21 @@ from hyperalg.groups import (
 from hyperalg.series import thin_residue
 from naive_enumeration import naive_enumerate
 
+
+def canonical_table(h):
+    """Minimal relabeled table over all identity-fixing permutations, entry
+    by entry (oracle for the once-per-orbit `canonical_representatives`)."""
+    return min(relabel(h, (0,) + perm) for perm in permutations(range(1, h.order)))
+
+
 # Golden survivor counts.  Orders 2 and 3 are re-derived by the naive
 # no-pruning sweep (naive_enumeration.py) on every run; order 4 comes
 # from the pruned sweep (the naive space, 15^9 fillings, is out of
 # reach) with every survivor revalidated by the full axiom checker.
 RAW_COUNTS = {2: 2, 3: 15, 4: 420}
 CANONICAL_COUNTS = {2: 2, 3: 10, 4: 102}
+# SHA-256 over `serialize` of every canonical representative of orders 2, 3, 4.
+CANONICAL_DIGEST = "fbbf99f880273782d63941ae7abecc00bd01426fa949d2d75e67695693bdc0d1"
 # Rejects by the validator's failure class (bulk tallies included).
 REJECTS = {
     2: {"NoInverse": 1},
@@ -87,6 +98,38 @@ def test_canonical_classes_partition_survivors(enum3):
         for b in reps:
             if b.table != a.table:
                 assert b.table not in copies
+
+
+def test_canonical_tables_are_pinned(enum2, enum3, enum4):
+    text = "".join(serialize(h) for result in (enum2, enum3, enum4)
+                   for h in canonical_representatives(result.survivors))
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_DIGEST
+
+
+def test_representatives_match_per_entry_route(enum2, enum3, enum4):
+    """A shuffled survivor list with duplicates gives the minimal table of
+    each orbit, as `canonical_table` finds it entry by entry."""
+    rng = random.Random(25)
+    for result in (enum2, enum3, enum4):
+        survivors = [*result.survivors, *rng.sample(result.survivors, len(result.survivors) // 3)]
+        rng.shuffle(survivors)
+        want = sorted({canonical_table(h) for h in survivors})
+        assert [h.table for h in canonical_representatives(survivors)] == want
+
+
+def test_each_orbit_is_relabeled_once(enum2, enum3, enum4, monkeypatch):
+    """relabel runs once per member of each orbit: 2·1 + 10·2 + 102·6 calls,
+    not once per permutation of each of the 437 survivors (2552)."""
+    calls = []
+
+    def counted(h, perm):
+        calls.append(perm)
+        return relabel(h, perm)
+
+    monkeypatch.setattr("hyperalg.enumeration.relabel", counted)
+    for result in (enum2, enum3, enum4):
+        canonical_representatives(result.survivors)
+    assert len(calls) == 634
 
 
 def test_order_out_of_range():

@@ -1,7 +1,8 @@
 import pytest
 
 from hyperalg.closed import all_closed_subsets, is_closed, is_normal, is_strongly_normal
-from hyperalg.core import bits, mask_of, union_over
+from hyperalg.core import Hypergroup, bits, mask_of, union_over, validate
+from hyperalg.groups import cyclic, direct_product, from_group
 from hyperalg.quotient import (
     NotClosed,
     build_quotient,
@@ -74,6 +75,28 @@ def test_quotient_by_trivial_is_same_table(s3):
     assert q.induced.table == s3.table
     assert q.induced is s3  # interned: the copy shares every cached result
 
+
+
+def test_trivial_kernels_are_read_off(a5, monkeypatch):
+    """H//{1} and H//H take no vector product, and the kernel checks still run."""
+    c2_5 = [[0]]
+    for _ in range(5):
+        c2_5 = direct_product(c2_5, cyclic(2))
+    cases = [a5, from_group(c2_5)]
+    point = validate(1, ((1,),))
+
+    def fail(self, p):
+        raise AssertionError("left_products called")
+
+    monkeypatch.setattr(Hypergroup, "left_products", fail)
+    for h in cases:
+        monkeypatch.setitem(vars(h), "_memo", {})  # build both quotients afresh
+        assert build_quotient(h, 1).induced is h
+        q = build_quotient(h, h.full)
+        assert q.induced is point and q.blocks == (h.full,)
+        for f in (0, h.full & ~2):  # empty; H minus one element is no subgroup
+            with pytest.raises(NotClosed):
+                build_quotient(h, f)
 
 
 def test_s3_mod_a3_is_c2(s3):
