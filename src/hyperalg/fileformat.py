@@ -69,7 +69,7 @@ def read_table(text: str) -> tuple[str, int, list[list[int]]]:
 
     table = [[-1] * order for _ in range(order)]  # -1: not filled yet
     for lineno, line in lines:
-        tokens = line.split(None, order + 4)  # a valid cell line has at most order + 4
+        tokens = line.split(None, order + 4)  # a valid cell line has at most order + 4 tokens
         if tokens[0] != "cell":
             raise FormatSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
         if len(tokens) < 4 or tokens[3] != ":":

@@ -73,7 +73,7 @@ def test_quotient_by_full_is_trivial(s3):
 def test_quotient_by_trivial_is_same_table(s3):
     q = build_quotient(s3, 1)
     assert q.induced.table == s3.table
-    assert q.induced is s3  # interned: the copy shares every cached result
+    assert q.induced is s3  # read off: the quotient shares every cached result
 
 
 
