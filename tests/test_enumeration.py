@@ -5,8 +5,9 @@ from itertools import permutations
 import pytest
 
 import group_oracle as oracle
+from hyperalg import enumeration
 from hyperalg.closed import all_closed_subsets, closed_center
-from hyperalg.core import members
+from hyperalg.core import AssocViolation, InternalMismatch, members
 from hyperalg.enumeration import (
     OrderOutOfRange,
     canonical_representatives,
@@ -22,7 +23,7 @@ from hyperalg.groups import (
     symmetric,
 )
 from hyperalg.series import thin_residue
-from naive_enumeration import naive_enumerate
+from naive_enumeration import naive_enumerate, validate_branch
 
 
 def canonical_table(h):
@@ -34,7 +35,9 @@ def canonical_table(h):
 # Golden survivor counts.  Orders 2 and 3 are re-derived by the naive
 # no-pruning sweep (naive_enumeration.py) on every run; order 4 comes
 # from the pruned sweep (the naive space, 15^9 fillings, is out of
-# reach) with every survivor revalidated by the full axiom checker.
+# reach) with every survivor revalidated by the full axiom checker, and
+# its whole-branch associativity pass is checked against the validator
+# on each of the 1010 reached candidates (`validate_branch`).
 RAW_COUNTS = {2: 2, 3: 15, 4: 420}
 CANONICAL_COUNTS = {2: 2, 3: 10, 4: 102}
 # SHA-256 over `serialize` of every canonical representative of orders 2, 3, 4.
@@ -78,6 +81,36 @@ def test_golden_counts_and_counter_identity(order, enum2, enum3, enum4):
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_rejects_by_reason(order, enum2, enum3, enum4):
     assert {2: enum2, 3: enum3, 4: enum4}[order].rejects == REJECTS[order]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_branch_pass_matches_per_assignment_route(order):
+    """Per involution branch: the survivors, the reached count and the
+    rejects by class equal the validator's, candidate by candidate."""
+    for sigma in enumeration._involutions(order):
+        survivors, reached, rejects = enumeration._search_branch(order, sigma)
+        want_survivors, want_reached, want_rejects = validate_branch(order, sigma)
+        assert [h.table for h in survivors] == [h.table for h in want_survivors]
+        assert reached == want_reached
+        assert {k: v for k, v in rejects.items() if v} == want_rejects
+
+
+def test_validator_refusing_a_survivor_is_a_mismatch(monkeypatch):
+    """A survivor of the associativity pass that the validator refuses means
+    the two routes disagree: the sweep raises instead of tallying it."""
+    real = enumeration.validate
+    planted = []
+
+    def refuse_one(n, table):
+        if not planted:
+            planted.append(table)
+            raise AssocViolation(1, 1, 1)
+        return real(n, table)
+
+    monkeypatch.setattr(enumeration, "validate", refuse_one)
+    with pytest.raises(InternalMismatch):
+        enumerate_hypergroups(4)
+    assert len(planted) == 1
 
 
 def test_canonicalization_idempotent(enum3, enum4):
