@@ -7,7 +7,9 @@ that order, and the stdout of `hyperalg verify --order 4 --groups-up-to 12`.
 The SHA-256 of the machine reports of the whole corpus (every enumerated
 hypergroup of order 2..4, then every bundled group up to order 60, a5
 included) was taken before `lem-cq` read its commutators from position
-tables, and pins them byte for byte.
+tables, and pins them byte for byte; the SHA-256 of the text reports of
+the same corpus, the CLI's default rendering, was taken before the report
+record dropped its derived fields.
 """
 
 import hashlib
@@ -18,13 +20,13 @@ import pytest
 from hyperalg.cli import main
 from hyperalg.groups import cyclic, dihedral, direct_product, from_group
 from hyperalg.harness import enumerated_entries, group_entries
-from hyperalg.report import analyze, render_machine
+from hyperalg.report import analyze, render_machine, render_text
 
 GOLDEN = Path(__file__).with_name("golden")
 
 
-def _reports(entries) -> str:
-    return "".join(render_machine(analyze(e.hypergroup, name=e.name)) for e in entries)
+def _reports(entries, render=render_machine) -> str:
+    return "".join(render(analyze(e.hypergroup, name=e.name)) for e in entries)
 
 
 def test_group_reports_match_golden():
@@ -37,11 +39,21 @@ def test_enumerated_reports_match_golden():
     assert _reports(enumerated_entries((2, 3))) == want
 
 
-def test_corpus_reports_match_digest():
+def _corpus_digest(render) -> str:
     entries = [*enumerated_entries((2, 3, 4)), *group_entries(60)]
     assert len(entries) == 459
-    digest = hashlib.sha256(_reports(entries).encode("utf-8")).hexdigest()
-    assert digest == "76988043f501ae5aed617f992d34ee79365d454fca5bbf9af88218ea1f8b6eed"
+    return hashlib.sha256(_reports(entries, render).encode("utf-8")).hexdigest()
+
+
+def test_corpus_reports_match_digest():
+    want = "76988043f501ae5aed617f992d34ee79365d454fca5bbf9af88218ea1f8b6eed"
+    assert _corpus_digest(render_machine) == want
+
+
+def test_corpus_text_reports_match_digest():
+    """`--report text` is the CLI default; its bytes are pinned like the machine's."""
+    want = "09e917864a6f25673433327ae32c6f46ac5d2b38b02329b15cc938cb6b5ac52f"
+    assert _corpus_digest(render_text) == want
 
 
 def _power_of_c2(table, n):
