@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -372,12 +371,6 @@ def test_no_environment_read_in_src():
     assert found == []
 
 
-def test_inconsistent_report_raises(thin_imports):
-    report = analyze(thin_imports["c4"], name="c4")
-    with pytest.raises(InternalMismatch):
-        replace(report, solvable_chain=None).check_consistency()
-
-
 def test_thm_ns_fault_is_reported_not_raised(thin_imports, monkeypatch):
     """A planted fault: with solvability patched to fail, c4 is nilpotent but
     not solvable.  `analyze` reports thm-ns VIOLATED with the witness that
@@ -392,7 +385,7 @@ def test_thm_ns_fault_is_reported_not_raised(thin_imports, monkeypatch):
     got = verify_statement(c4, "thm-ns")
     assert (got.status, got.witness) == want
     report = analyze(c4, name="c4")
-    assert (report.nilpotent, report.solvable) == (True, False)
+    assert (report.nilpotency_class, report.solvable_chain) == (1, None)
     assert report.statements["thm-ns"] == want
 
 

@@ -224,8 +224,10 @@ def test_order64_groups_match_group_theory(order64):
     got, want = {}, {}
     for name, (h, nil_class, lower, center) in cases.items():
         r = analyze(h, name=name)
-        got[name] = (r.nilpotent, r.nilpotency_class, tuple(len(t) for t in r.lower_central),
-                     len(r.center), r.solvable, r.solvable_orders, r.thin, r.valency,
+        got[name] = (r.nilpotency_class is not None, r.nilpotency_class,
+                     tuple(len(t) for t in r.lower_central), len(r.center),
+                     r.solvable_chain is not None, r.solvable_orders,
+                     len(r.thin_part) == r.order, r.valency,
                      r.sylow, sorted(sid for sid, (status, _) in r.statements.items()
                                      if status == HOLDS))
         want[name] = (True, nil_class, lower, center, True, (2,) * 6, True, 64,
