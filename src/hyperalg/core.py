@@ -28,7 +28,7 @@ from __future__ import annotations
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, partial, wraps
+from functools import partial, wraps
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
@@ -180,11 +180,15 @@ class Hypergroup:
     # Row a, column b as one int of 64-bit lanes: lane x holds a·x, x·b.
     packed_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
     packed_cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # Mask of the thin elements s (s*·s = {1}); always holds the identity.
+    thin_part: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows, cols = packed(self.table), tuple(zip(*self.table))
         object.__setattr__(self, "packed_rows", rows)
         object.__setattr__(self, "packed_cols", rows if cols == self.table else packed(cols))
+        object.__setattr__(self, "thin_part", mask_of(
+            s for s, t in enumerate(self.star) if self.table[t][s] == 1))
 
     def __reduce__(self):
         # Unpickling goes through the validator, so copies are interned too.
@@ -218,18 +222,6 @@ class Hypergroup:
             acc |= 1 << star[lo.bit_length() - 1]
             s ^= lo
         return acc
-
-    def is_thin_element(self, s: int) -> bool:
-        return self.table[self.star[s]][s] == 1
-
-    @cached_property
-    def thin_part(self) -> int:
-        """Mask of all thin elements; always contains the identity."""
-        m = 0
-        for s in self.elements():
-            if self.is_thin_element(s):
-                m |= 1 << s
-        return m
 
     def is_thin(self) -> bool:
         return self.thin_part == self.full
