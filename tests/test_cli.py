@@ -371,6 +371,21 @@ def test_no_environment_read_in_src():
     assert found == []
 
 
+def test_one_caching_mechanism_in_src():
+    """`core.memo` is the one cache: no `cached_property`, `lru_cache` or
+    `functools.cache`, whether imported or reached as an attribute."""
+    names = ("cached_property", "lru_cache")
+    found = [where for where, node in _src_nodes()
+             if isinstance(node, ast.alias) and node.name in names
+             or isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.Name) and node.id in names
+             or isinstance(node, ast.ImportFrom) and node.module == "functools"
+             and any(alias.name == "cache" for alias in node.names)
+             or isinstance(node, ast.Attribute) and node.attr == "cache"
+             and isinstance(node.value, ast.Name) and node.value.id == "functools"]
+    assert found == []
+
+
 def test_thm_ns_fault_is_reported_not_raised(thin_imports, monkeypatch):
     """A planted fault: with solvability patched to fail, c4 is nilpotent but
     not solvable.  `analyze` reports thm-ns VIOLATED with the witness that
