@@ -100,7 +100,7 @@ def _search_branch(n: int, sigma: tuple[int, ...]):
     empty cell) can first fail only associativity, so those failures are
     tallied in bulk; each survivor still goes through the full validator.
 
-    Returns (survivor tables, candidates reached, rejects by error class).
+    Returns (survivor tables, candidates reached, associativity failures).
     """
     orbits = _orbits(n, sigma)
     every = (1 << (1 << len(orbits))) - 1
@@ -127,7 +127,7 @@ def _search_branch(n: int, sigma: tuple[int, ...]):
         except HypergroupError as err:
             raise InternalMismatch(f"branch {sigma}: assignment {a} passed the "
                                    "associativity pass but not the validator") from err
-    return survivors, reached.bit_count(), {"AssocViolation": (reached & ~assoc).bit_count()}
+    return survivors, reached.bit_count(), (reached & ~assoc).bit_count()
 
 
 def enumerate_hypergroups(order: int, canonicalize: bool = False) -> EnumerationResult:
@@ -149,14 +149,14 @@ def enumerate_hypergroups(order: int, canonicalize: bool = False) -> Enumeration
 
     sigmas = _involutions(order)
     rejects = {"NoInverse": total - one_zero_per_row,
-               "ExchangeViolation": one_zero_per_row - len(sigmas) * branch_size}
+               "ExchangeViolation": one_zero_per_row - len(sigmas) * branch_size,
+               "AssocViolation": 0}
     survivors: list[Hypergroup] = []
     for sigma in sigmas:
-        branch_survivors, reached, branch_rejects = _search_branch(order, sigma)
+        branch_survivors, reached, failures = _search_branch(order, sigma)
         survivors.extend(branch_survivors)
         rejects["ExchangeViolation"] += branch_size - reached
-        for key, count in branch_rejects.items():
-            rejects[key] = rejects.get(key, 0) + count
+        rejects["AssocViolation"] += failures
     rejects = {k: v for k, v in rejects.items() if v}
     survivors.sort(key=lambda h: h.table)
 
