@@ -20,8 +20,9 @@ from hyperalg.closed import (
 from hyperalg.core import Hypergroup, InternalMismatch, mask_of, members
 from hyperalg.groups import cyclic, dihedral, direct_product, from_group
 from hyperalg.quotient import build_quotient
+from hyperalg.report import analyze
 from hyperalg.series import _step_order
-from set_products import set_product_many
+from set_products import double_coset, set_product_many
 from sub_masks import sub_hypergroup, to_sub_mask
 
 # S3 element indices (permutations in lexicographic order):
@@ -379,6 +380,38 @@ def test_closed_center_guard_raises(thin_imports, monkeypatch):
     monkeypatch.setattr(closed, "center", lambda h: mask_of([0, 1, 3]))  # 1·1 = 2
     with pytest.raises(InternalMismatch):
         closed_center(c4)
+
+
+@pytest.fixture(scope="module")
+def d4xd4_over_involution():
+    """D4×D4//{0, 36}: a valid order-20 double-coset hypergroup over a
+    non-normal subgroup of order 2, on which `closed_center` raises."""
+    h = from_group(direct_product(dihedral(4), dihedral(4)))
+    f = mask_of([0, 36])
+    blocks = list(dict.fromkeys(double_coset(h, x, f) for x in h.elements()))
+    reps = [b & -b for b in blocks]
+    table = tuple(tuple(mask_of(i for i, c in enumerate(blocks) if c & set_product_many(h, a, f, b))
+                        for b in reps) for a in reps)
+    q = build_quotient(h, f).induced
+    assert q.table == table
+    return q
+
+
+def test_d4xd4_over_involution_is_pinned(d4xd4_over_involution):
+    """The center Z holds 1 and 4, but 1·4 = {3, 5} and 3·7 ≠ 7·3, so Z is
+    neither closed nor commutative: the closed-center guard must raise."""
+    q = d4xd4_over_involution
+    assert q.order == 20 and members(q.thin_part) == (0, 2, 3, 5, 14, 16, 17, 19)
+    assert members(center(q)) == (0, 1, 2, 4, 6, 8, 10, 12, 14, 15, 16, 18)
+    assert (members(q.table[1][4]), q.table[3][7], q.table[7][3]) == ((3, 5), 1 << 11, 1 << 13)
+    with pytest.raises(InternalMismatch, match=r"closed center \(0, 1, 2, 4, 6, 8, 10, 12"):
+        closed_center(q)
+
+
+@pytest.mark.xfail(strict=True, raises=InternalMismatch,
+                   reason="the closed center of a non-thin input need not be closed")
+def test_analyze_completes_on_d4xd4_over_involution(d4xd4_over_involution):
+    assert analyze(d4xd4_over_involution, name="d4xd4//{0,36}").order == 20
 
 
 def test_strong_normalizer(s3, c2_thin):
