@@ -89,7 +89,7 @@ def render_machine(r: AnalysisReport) -> str:
         lines.append(f"lower_central_{i} = {_fmt_set(term)}")
     lines.append(f"nilpotent = {str(r.nilpotency_class is not None).lower()}")
     lines.append(f"nilpotency_class = "
-                 f"{'none' if r.nilpotency_class is None else r.nilpotency_class}")
+                 f"{r.nilpotency_class if r.nilpotency_class is not None else 'none'}")
     lines.append(f"center = {_fmt_set(r.center)}")
     for i, term in enumerate(r.closed_center_series):
         lines.append(f"closed_center_{i} = {_fmt_set(term)}")
@@ -101,7 +101,7 @@ def render_machine(r: AnalysisReport) -> str:
             lines.append(f"solvable_chain_{i} = {_fmt_set(term)}")
         lines.append(f"solvable_orders = {_fmt_set(r.solvable_orders)}")
     lines.append(f"rt = {str(r.valency is not None).lower()}")
-    lines.append(f"valency = {'none' if r.valency is None else r.valency}")
+    lines.append(f"valency = {r.valency if r.valency is not None else 'none'}")
     for p in sorted(r.sylow):
         lines.append(f"sylow_{p} = " + ";".join(_fmt_set(c) for c in r.sylow[p]))
     for sid, (status, _witness) in r.statements.items():

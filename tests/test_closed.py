@@ -398,8 +398,8 @@ def d4xd4_over_involution():
 
 
 def test_d4xd4_over_involution_is_pinned(d4xd4_over_involution):
-    """The center Z holds 1 and 4, but 1·4 = {3, 5} and 3·7 ≠ 7·3, so Z is
-    neither closed nor commutative: the closed-center guard must raise."""
+    """The center Z holds 1 and 4, but 1·4 = {3, 5}, and 3 is not central
+    (3·7 ≠ 7·3): Z is not closed, so the closed-center guard must raise."""
     q = d4xd4_over_involution
     assert q.order == 20 and members(q.thin_part) == (0, 2, 3, 5, 14, 16, 17, 19)
     assert members(center(q)) == (0, 1, 2, 4, 6, 8, 10, 12, 14, 15, 16, 18)
