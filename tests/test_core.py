@@ -317,6 +317,39 @@ def test_subset_associativity_exhaustive(enum2, enum3):
                 h.set_product(h.set_product(a, b), c)
 
 
+def fresh_result(order, raw):
+    """validate against a fresh intern store: ("valid", table, cell type names)
+    or (error class name, message)."""
+    with mock.patch.object(core, "_INTERNED", weakref.WeakValueDictionary()):
+        try:
+            h = validate(order, raw)
+        except (HypergroupError, ValueError, TypeError) as err:
+            return type(err).__name__, str(err)
+    return "valid", h.table, tuple(type(c).__name__ for row in h.table for c in row)
+
+
+@pytest.mark.parametrize("order, raw, want", [
+    # A bool is an int: it is kept as given, and False is an empty cell.
+    (2, [[True, 2], [2, True]], ("valid", ((1, 2), (2, 1)), ("bool", "int", "int", "bool"))),
+    (2, [[1, 2], [2, False]], ("EmptyProduct", "empty product at cell (1,1); 1 empty cell(s) total")),
+    (2, [[1, 2], [2, -1]], ("ValueError", "cell mask -0x1 has members outside 0..1")),
+    (2, [[1, 2], [2, 4]], ("ValueError", "cell mask 0x4 has members outside 0..1")),
+    (3, [[1, 2, 4], [2, 9, -1], [4, 1, 2]], ("ValueError", "cell mask 0x9 has members outside 0..2")),
+    (2, [[[0], [1]], [[1], (0, 1)]], ("valid", ((1, 2), (2, 3)), ("int",) * 4)),
+    (2, [[1, 2], [2, [2]]], ("ValueError", "cell mask 0x4 has members outside 0..1")),
+    (2, [[1, 2], [2, [-1]]], ("ValueError", "negative shift count")),
+    (2, [[1, 2], [2, 1.0]], ("TypeError", "'float' object is not iterable")),
+    (2, [[1, [1]], [2, 8]], ("ValueError", "cell mask 0x8 has members outside 0..1")),
+    (3, [[1, 2, [2]], [[1], 4, 1], [4, {0}, 2]], ("valid", ((1, 2, 4), (2, 4, 1), (4, 1, 2)), ("int",) * 9)),
+    (3, [[1, 2, [2]], [[1], 1, 4], [4, {2}, 1]],
+     ("AssocViolation", "associativity fails at triple (1,2,2); 2 triple(s) fail")),
+])
+def test_cells_that_are_not_plain_masks(order, raw, want):
+    """Bools, out-of-range ints, member iterables and rows mixing them: the
+    table, or the first failing cell's error in row-major order."""
+    assert fresh_result(order, raw) == want
+
+
 def test_mask_helpers():
     assert mask_of([0, 2, 5]) == 0b100101
     assert members(0b100101) == (0, 2, 5)
@@ -450,6 +483,17 @@ def test_validate_at_max_order_uses_the_top_bit():
     with pytest.raises(AssocViolation) as err:
         validate(64, raw)
     assert (err.value.witness, err.value.count) == got[1:]
+
+
+def test_assoc_fault_past_the_first_slab(order64):
+    """D32 with 22 added to 35·39: the smallest failing triple has middle
+    element 35, so the validator must reach past the slabs of the first
+    middle elements; rows and columns differ, as D32 does not commute."""
+    d32 = order64[1]
+    raw = [list(row) for row in d32.table]
+    raw[35][39] |= 1 << 22
+    got = check_against_oracle(64, raw)
+    assert got == ("AssocViolation", (1, 35, 39), 250)
 
 
 def test_vector_products_match_set_products(corpus, a5, order64):
