@@ -171,27 +171,30 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
     reached from a found F ⊂ K through some x in K - F, whose closure
     with F stays inside K; the 2^n subset space is never touched.
 
-    Each found F keeps the generating set it was first reached by:
-    gens[{1}] = {1}, and gens[C] = gens[F] | {x} when C is first reached
-    from F through x.  F is the closure of gens[F], so the closure of
-    gens[F] | {x} is that of F | {x}, and `generated_closure` multiplies
-    by that small set rather than by all of F.
+    As F is closed, that closure is F with every power of S = FxF | Fx*F
+    (S is star-stable, F·S = S·F = S), grown from F | S by multiplying the
+    newest members by S; Fx*F, which gives the same closure, is skipped too.
     """
-    gens = {1: 1}
+    found = {1}
     work = [1]
     while work:
         f = work.pop()
         fx, xf = h.left_products(f), h.right_products(f)
         rest = h.full & ~f
         while rest:
-            x = rest & -rest
-            rest &= ~union_over(xf, fx[x.bit_length() - 1])  # FxF, the OR of y·F over y in F·x
-            seed = gens[f] | x
-            c = generated_closure(h, seed)
-            if c not in gens:
-                gens[c] = seed
+            x = (rest & -rest).bit_length() - 1
+            s = union_over(xf, fx[x])  # FxF, the OR of y·F over y in F·x
+            if not s >> h.star[x] & 1:  # else Fx*F = FxF
+                s |= union_over(xf, fx[h.star[x]])
+            rest &= ~s
+            by_s, c, new = h.right_products(s), f | s, s  # entry y of by_s holds y·S
+            while new:
+                new = union_over(by_s, new) & ~c
+                c |= new
+            if c not in found:
+                found.add(c)
                 work.append(c)
-    masks = tuple(sorted(gens, key=lambda m: (m.bit_count(), m)))
+    masks = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
     positions = tuple(mask_of(i for i, m in enumerate(masks) if m >> x & 1) for x in h.elements())
     index = {m: i for i, m in enumerate(masks)}
     return ClosedSubsetLattice(masks=masks, positions=positions, index=index)

@@ -16,7 +16,7 @@ where p* is the inverse partner derived from the table: the unique q
 with 1 in pq.  The left-identity row and the involutivity of * are
 consequences of H2/H3 and are checked, never trusted.  Each hypergroup
 packs its rows and columns once into 64-bit lanes; set products, vector
-products and the H1 check (one n×n slab per middle element) read them.
+products and the H1 check (slabs of a few middle elements) read them.
 
 Valid hypergroups are interned by table: validating a table seen before
 returns the existing instance, so everything memoised on it (see
@@ -29,9 +29,11 @@ import weakref
 from array import array
 from dataclasses import dataclass, field
 from functools import partial, wraps
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
+SLAB_LANES = 1 << 14  # lanes of one associativity slab: 128 KiB per side
 
 # Normalized cell tuple -> the validated instance, while anything holds it.
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -231,10 +233,7 @@ class Hypergroup:
 
 
 def _as_mask(cell, order: int) -> int:
-    if isinstance(cell, int):
-        m = cell
-    else:
-        m = mask_of(cell)
+    m = cell if isinstance(cell, int) else mask_of(cell)
     if m < 0 or m >> order:
         raise ValueError(f"cell mask {m:#x} has members outside 0..{order - 1}")
     return m
@@ -243,10 +242,11 @@ def _as_mask(cell, order: int) -> int:
 def _associativity_failures(h: Hypergroup) -> list[tuple[int, int, int]]:
     """Every (i, j, k) with (ij)k != i(jk), ascending.
 
-    For each j the n×n slab (ij)k is joined from the OR of h's packed rows
-    in each cell ij, and i(jk) from the OR of its packed columns in each
-    cell jk; the slabs are compared as bytes, and only the cells of a
-    differing slab that differ are listed.
+    For SLAB_LANES // n² middle elements j at a time (at least one), the
+    slab (ij)k is joined from the OR of h's packed rows in each cell ij, and
+    i(jk) from the OR of its packed columns in each cell jk; the slabs, of
+    at most max(n², SLAB_LANES) lanes, are compared as bytes, and only
+    their differing lanes are listed.
     """
     table, n, width = h.table, h.order, 8 * h.order
     rows, cols = h.packed_rows, h.packed_cols
@@ -254,16 +254,21 @@ def _associativity_failures(h: Hypergroup) -> list[tuple[int, int, int]]:
     row_or = {c: union_over(rows, c).to_bytes(width, "little") for c in cells}  # c·k over k
     col_or = row_or if cols is rows else {  # i·c over i
         c: union_over(cols, c).to_bytes(width, "little") for c in cells}
+    step = max(1, SLAB_LANES // (n * n))
     failures = []
-    for j in range(n):
-        left = b"".join([row_or[row[j]] for row in table])  # (ij)k at i·n + k
-        right = array("Q", b"".join([col_or[c] for c in table[j]]))  # i(jk) at k·n + i
-        right = b"".join([right[i::n] for i in range(n)])  # now at i·n + k
+    for j0 in range(0, n, step):
+        g = min(step, n - j0)  # middle elements j0 .. j0 + g - 1
+        left = b"".join(map(row_or.__getitem__, chain.from_iterable(
+            [row[j0:j0 + g] for row in table])))  # (ij)k at (i·g + j - j0)·n + k
+        right = array("Q", b"".join(map(col_or.__getitem__, chain.from_iterable(
+            table[j0:j0 + g]))))  # i(jk) at ((j - j0)·n + k)·n + i
+        right = b"".join([right[i::n] for i in range(n)])  # now as left
         if left != right:
             diff = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
             while diff:
                 p = ((diff & -diff).bit_length() - 1) >> 6
-                failures.append((p // n, j, p % n))
+                i, jk = divmod(p, g * n)
+                failures.append((i, j0 + jk // n, jk % n))
                 diff &= -1 << 64 * (p + 1)  # lanes below p are already clear
     return sorted(failures)
 
@@ -275,11 +280,10 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
     in a fixed order (empties, right identity, inverse derivation,
     associativity, exchange) and the first failing check raises with its
     first witness plus the count of all violations of that check; for
-    associativity that is the smallest failing (i, j, k), found one slab
-    per j in O(n²) memory besides an OR of packed rows and of columns per
-    distinct cell mask (see :func:`_associativity_failures`).  A table
-    that passed before returns its interned instance without re-checking;
-    an invalid table is never stored, so it raises on every call.
+    associativity that is the smallest failing (i, j, k), found a few
+    middle elements at a time (see :func:`_associativity_failures`).  A
+    table that passed before returns its interned instance without
+    re-checking; an invalid table is never stored, so it raises on every call.
     """
     if not isinstance(order, int) or order < 1:
         raise ValueError("order must be a positive integer")
@@ -289,14 +293,15 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
         raise ValueError("table must be square of side `order`")
 
     shared: dict[int, int] = {}  # equal cells share one int: n per group table, not n²
-    table = tuple(tuple([shared.setdefault(m, m) for m in [_as_mask(c, order) for c in row]])
-                  for row in raw_table)
+    table = tuple(tuple(map(shared.setdefault, row, row)) for row in (
+        row if set(map(type, row)) == {int} and min(row) >= 0 and not max(row) >> order
+        else [_as_mask(c, order) for c in row] for row in raw_table))
     known = _INTERNED.get(table)
     if known is not None:
         return known
 
-    empties = [(i, j) for i in range(order) for j in range(order) if table[i][j] == 0]
-    if empties:
+    if any(0 in row for row in table):
+        empties = [(i, j) for i in range(order) for j in range(order) if table[i][j] == 0]
         raise EmptyProduct(*empties[0], count=len(empties))
 
     bad_id = [i for i in range(order) if table[i][0] != 1 << i]

@@ -13,9 +13,14 @@ parse is the identity on any ordering the parser accepts.
 
 from __future__ import annotations
 
+import re
+
 from hyperalg.core import MAX_ORDER, Hypergroup, bits, mask_of, validate
 
 MAX_CHARS = 1 << 24  # longest text the CLI reads; canonical order-64 tables stay under 800k
+# 2^16 characters and on through the next line end of str.splitlines, or the
+# rest: the reader splits one chunk at a time, never holding every line at once.
+_CHUNK = re.compile("(?s).{65536}.*?(?:\r\n?|[\n\v\f\x1c-\x1e\x85\u2028\u2029])|.+")
 
 
 class FileFormatError(Exception):
@@ -49,8 +54,9 @@ _HEADER = (("hypergroup", "header `hypergroup v1`"), ("name", "`name <token>`"),
 
 def read_table(text: str) -> tuple[str, int, list[list[int]]]:
     """Parse header and cells into (name, order, mask table), no validation."""
-    lines = ((lineno, line) for lineno, line in enumerate(
-        (raw.split("#", 1)[0] for raw in text.splitlines()), start=1) if line and not line.isspace())
+    lines = ((lineno, line) for lineno, raw in enumerate(
+        (raw for chunk in _CHUNK.finditer(text) for raw in chunk[0].splitlines()), start=1)
+        if raw and (line := raw.partition("#")[0]) and not line.isspace())
     values = []
     for (keyword, expected), (lineno, line) in zip(_HEADER, lines):
         tokens = line.split(None, 2)

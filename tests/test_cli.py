@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -254,6 +255,53 @@ def test_long_cell_line_is_refused_before_its_members_are_read():
         tracemalloc.stop()
     assert str(err.value) == "line 4: cell line lists more than 2 members"
     assert peak < 5 * len(text), (peak, len(text))
+
+
+LINE_ENDS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def reader_outcome(text):
+    try:
+        return read_table(text)
+    except FileFormatError as err:
+        return type(err), str(err), err.line
+
+
+def test_reader_splits_lines_like_splitlines():
+    """Every line end of str.splitlines, also across the reader's chunks of
+    2^16 characters (a comment pads the text so that a chunk ends at each
+    offset near a cell's line end): the same table, or the same error and
+    line, as the text's lines joined by newlines."""
+    rng = random.Random(28)
+    cells = C2_TEXT.splitlines()[3:] + ["cell 1 1 : 0 1"]  # the last is a duplicate
+    for pad in [0, *range(65500, 65540)]:
+        for _ in range(3 if pad else 100):
+            lines = [*C2_TEXT.splitlines()[:3], "#" * pad, *rng.sample(cells, rng.randint(3, 5))]
+            text = "".join(line + rng.choice(LINE_ENDS) for line in lines)
+            assert reader_outcome(text) == reader_outcome("\n".join(text.splitlines())), text[-60:]
+
+
+@pytest.mark.parametrize("shape, unit, error", [
+    ("short lines", "#a\n", "cell (0, 0) is missing (4 missing in total)"),
+    ("blank lines", "\n", "cell (0, 0) is missing (4 missing in total)"),
+    ("comment lines", "# " + "c" * 29 + "\n", "cell (0, 0) is missing (4 missing in total)"),
+    ("long header line", "x", "line 2: expected `name <token>`"),
+    ("long cell line", " 1", "line 4: cell line lists more than 2 members"),
+])
+def test_reader_memory_is_bounded_by_the_text(shape, unit, error):
+    """The reader's worst shapes at 2^21 characters each peak under 5x the text."""
+    head = {"long header line": "hypergroup v1\nname x ", "long cell line": C2_TEXT[:30] + "cell 0 0 :"}
+    start = head.get(shape, C2_TEXT[:30])
+    text = start + unit * ((1 << 21) // len(unit)) + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError) as err:
+            read_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == error
+    assert peak < 5 * len(text), (shape, peak, len(text))
 
 
 def test_enumerate_command(tmp_path, capsys):

@@ -18,7 +18,7 @@ from hyperalg.closed import (
     strong_normalizer,
 )
 from hyperalg.core import Hypergroup, InternalMismatch, mask_of, members
-from hyperalg.groups import cyclic, dihedral, direct_product, from_group
+from hyperalg.groups import alternating, cyclic, dihedral, direct_product, from_group
 from hyperalg.quotient import build_quotient
 from hyperalg.report import analyze
 from hyperalg.series import _step_order
@@ -125,9 +125,43 @@ def test_lattice_closed_under_intersection(small_corpus):
                 assert a & b in masks
 
 
-def test_lattice_matches_brute_force(enum2, enum3):
-    for h in list(enum2.survivors) + list(enum3.survivors):
-        assert list(all_closed_subsets(h).masks) == brute_closed_subsets(h)
+@pytest.fixture(scope="module")
+def double_coset_quotients(group_tables):
+    """The distinct non-thin quotients G//F of order 5 to 12 over non-normal F,
+    for A5 and products of the bundled groups; each one's blocks are checked
+    against `double_coset`."""
+    g = dict(group_tables, a5=alternating(5))
+    bases = [g["a5"], *(direct_product(g[a], g[b]) for a, b in
+                        [("a4", "c2"), ("s3", "s3"), ("d4", "c2"), ("s3", "c3"), ("d5", "c2")])]
+    found = {}
+    for base in map(from_group, bases):
+        for f in all_closed_subsets(base).masks:
+            quotient = build_quotient(base, f)
+            q = quotient.induced
+            if 5 <= q.order <= 12 and not q.is_thin() and q.table not in found:
+                assert quotient.blocks == tuple(dict.fromkeys(
+                    double_coset(base, x, f) for x in base.elements())), (base.table, f)
+                found[q.table] = q
+    return list(found.values())
+
+
+def test_lattice_matches_brute_force(enum2, enum3, enum4, double_coset_quotients):
+    """Every survivor of orders 2 to 4, and non-thin quotients up to order 12."""
+    assert len(double_coset_quotients) == 25
+    for h in [*enum2.survivors, *enum3.survivors, *enum4.survivors, *double_coset_quotients]:
+        assert list(all_closed_subsets(h).masks) == brute_closed_subsets(h), h.table
+
+
+def test_lattice_does_not_call_generated_closure(corpus, double_coset_quotients, monkeypatch):
+    """The lattice grows without `generated_closure`, so the thin residue's two
+    routes (lattice lookup and `generated_closure`) stay independent."""
+    def refuse(h, seed):
+        raise AssertionError("all_closed_subsets called generated_closure")
+
+    monkeypatch.setattr(closed, "generated_closure", refuse)
+    for h in [*corpus, *double_coset_quotients]:
+        monkeypatch.delitem(h.__dict__, "_memo", raising=False)
+        assert all_closed_subsets(h).masks[-1] == h.full
 
 
 def fixpoint_closure(h, seed):
