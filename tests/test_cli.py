@@ -290,9 +290,9 @@ def test_reader_splits_lines_like_splitlines():
 ])
 def test_reader_memory_is_bounded_by_the_text(shape, unit, error):
     """The reader's worst shapes at 2^21 characters each peak under 5x the text."""
-    head = {"long header line": "hypergroup v1\nname x ", "long cell line": C2_TEXT[:30] + "cell 0 0 :"}
-    start = head.get(shape, C2_TEXT[:30])
-    text = start + unit * ((1 << 21) // len(unit)) + "\n"
+    header = "hypergroup v1\nname c2\norder 2\n"
+    start = {"long header line": "hypergroup v1\nname x ", "long cell line": header + "cell 0 0 :"}
+    text = start.get(shape, header) + unit * ((1 << 21) // len(unit)) + "\n"
     tracemalloc.start()
     try:
         with pytest.raises(FileFormatError) as err:
