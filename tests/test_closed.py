@@ -448,6 +448,25 @@ def test_analyze_completes_on_d4xd4_over_involution(d4xd4_over_involution):
     assert analyze(d4xd4_over_involution, name="d4xd4//{0,36}").order == 20
 
 
+def test_center_is_star_stable_and_normal(corpus, a5, order64, double_coset_quotients,
+                                          d4xd4_over_involution):
+    """By H3, (xy)* = y*x*, so x commutes with every element iff x* does: the
+    center Z is star-stable, and normal as z·x = x·z.  So the closed center
+    is Z itself wherever it is closed.  It is not on the order-20 table, nor on
+    four quotients of S3×S3 (orders 10, 10, 10 and 8)."""
+    raised = []
+    for h in [*corpus, a5, *order64, *double_coset_quotients, d4xd4_over_involution]:
+        z = center(h)
+        assert h.set_star(z) == z, h.table
+        assert is_normal(h, z), h.table
+        try:
+            assert closed_center(h) == z, h.table
+        except InternalMismatch:
+            assert not is_closed(h, z), h.table
+            raised.append(h.order)
+    assert raised == [10, 10, 10, 8, 20]
+
+
 def test_strong_normalizer(s3, c2_thin):
     assert strong_normalizer(s3, s3.full) == s3.full
     assert strong_normalizer(c2_thin, 1) == c2_thin.full
