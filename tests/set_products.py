@@ -2,7 +2,7 @@
 and chained products for tests that write out star(x)·A·x and the like."""
 
 from hyperalg.closed import all_closed_subsets
-from hyperalg.core import bits
+from hyperalg.core import bits, members
 
 
 def set_product_by_pairs(h, p: int, q: int) -> int:
@@ -22,6 +22,27 @@ def set_product_many(h, *sets: int) -> int:
     for s in sets[1:]:
         acc = set_product_by_pairs(h, acc, s)
     return acc
+
+
+def closure_by_elements(h, seed: int) -> int:
+    """Smallest closed subset containing the seed, one element at a time: each
+    element found is multiplied on the right by every member of
+    G = {identity} | seed | star(seed), one table row OR each, which reaches
+    every power of G (oracle for `generated_closure`; no set product)."""
+    cur = todo = 1 | seed | h.set_star(seed)
+    g_members = members(cur & ~1)  # e·1 = {e} adds nothing
+    table, full = h.table, h.full
+    while todo and cur != full:
+        low = todo & -todo
+        todo ^= low
+        row = table[low.bit_length() - 1]
+        new = 0
+        for g in g_members:
+            new |= row[g]
+        new &= ~cur
+        cur |= new
+        todo |= new
+    return cur
 
 
 def double_coset(h, x: int, f: int) -> int:

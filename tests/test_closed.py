@@ -22,7 +22,7 @@ from hyperalg.groups import alternating, cyclic, dihedral, direct_product, from_
 from hyperalg.quotient import build_quotient
 from hyperalg.report import analyze
 from hyperalg.series import _step_order
-from set_products import double_coset, set_product_many
+from set_products import closure_by_elements, double_coset, set_product_many
 from sub_masks import sub_hypergroup, to_sub_mask
 
 # S3 element indices (permutations in lexicographic order):
@@ -162,6 +162,36 @@ def test_lattice_does_not_call_generated_closure(corpus, double_coset_quotients,
     for h in [*corpus, *double_coset_quotients]:
         monkeypatch.delitem(h.__dict__, "_memo", raising=False)
         assert all_closed_subsets(h).masks[-1] == h.full
+
+
+def test_generated_closure_does_not_call_the_lattice(corpus, double_coset_quotients, monkeypatch):
+    """`generated_closure` closes seeds without `all_closed_subsets`: the
+    mirror of the guard above."""
+    def refuse(h):
+        raise AssertionError("generated_closure called all_closed_subsets")
+
+    monkeypatch.setattr(closed, "all_closed_subsets", refuse)
+    rng = random.Random(29)
+    for h in [*corpus, *double_coset_quotients]:
+        for seed in {1, h.full, *(rng.randint(1, h.full) for _ in range(6))}:
+            assert generated_closure(h, seed) == closure_by_elements(h, seed), (h.table, seed)
+
+
+def test_generated_closure_matches_element_loop(enum2, enum3, corpus, a5, order64,
+                                                double_coset_quotients):
+    """Squaring against the element-at-a-time loop, which reads table rows and
+    calls no set product: every seed of the order-2..3 survivors, and 16
+    random seeds, 8 random elements, {1} and H of the corpus, a5, order 64
+    and the double-coset quotients."""
+    for h in [*enum2.survivors, *enum3.survivors]:
+        for seed in range(1, h.full + 1):
+            assert generated_closure(h, seed) == closure_by_elements(h, seed), (h.table, seed)
+    rng = random.Random(12)
+    for h in [*corpus, a5, *order64, *double_coset_quotients]:
+        seeds = {1, h.full, *(rng.randint(1, h.full) for _ in range(16)),
+                 *(1 << rng.randrange(h.order) for _ in range(8))}
+        for seed in seeds:
+            assert generated_closure(h, seed) == closure_by_elements(h, seed), (h.table, seed)
 
 
 def fixpoint_closure(h, seed):
