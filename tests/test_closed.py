@@ -49,6 +49,16 @@ def test_is_closed_basics(c2_thin, s3):
         is_closed(s3, 0)
 
 
+def test_is_closed_cross_check_raises(s3, monkeypatch):
+    """With the identity dropped from every product, star(H)·H stays inside H
+    but H·H is no longer H: the two closedness tests disagree on H."""
+    product = Hypergroup.set_product
+    monkeypatch.setattr(Hypergroup, "set_product", lambda h, p, q: product(h, p, q) & ~1)
+    with pytest.raises(InternalMismatch,
+                       match=r"^closedness tests disagree on \(0, 1, 2, 3, 4, 5\)$"):
+        is_closed(s3, s3.full)
+
+
 def test_generated_closure_examples(nonthin2, s3):
     assert generated_closure(nonthin2, 1) == 1
     assert generated_closure(nonthin2, 2) == 3  # a generates everything
