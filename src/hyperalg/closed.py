@@ -21,13 +21,14 @@ class EmptySet(Exception):
 
 
 def is_closed(h: Hypergroup, s: int) -> bool:
-    """True iff star(S)·S stays inside S; cross-checked against the
-    three-part characterization (identity, star-stable, idempotent)."""
+    """True iff star(S)·S stays inside S; cross-checked against the three-part test
+    (identity, star-stable, S·S = S), whose S·S is star(S)·S once star(S) = S."""
     if s == 0:
         raise EmptySet("closedness is only defined for nonempty subsets")
     star = h.set_star(s)
-    closed = h.set_product(star, s) & ~s == 0
-    three_part = (s & 1) and star == s and h.set_product(s, s) == s
+    product = h.set_product(star, s)
+    closed = product & ~s == 0
+    three_part = (s & 1) and star == s and product == s
     if closed != bool(three_part):
         raise InternalMismatch(f"closedness tests disagree on {members(s)}")
     return closed
@@ -111,22 +112,16 @@ class ClosedSubsetLattice:
     """
 
     masks: tuple[int, ...]
-    positions: tuple[int, ...]  # element x -> bit i set iff masks[i] holds x
+    missing: tuple[int, ...]  # element x -> bit i set iff masks[i] lacks x
     index: dict[int, int]  # member mask -> its position in masks
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def above(self, seed: int) -> int:
-        """Bitset of the positions of the members holding the seed: the AND of
-        its members' position bitsets, from the identity's, which is every one."""
-        positions = self.positions
-        at = positions[0]
-        while seed:
-            low = seed & -seed
-            at &= positions[low.bit_length() - 1]
-            seed ^= low
-        return at
+        """Bitset of the positions of the members holding the seed: every
+        position but those lacking one of its members, an OR of bitsets."""
+        return (1 << len(self.masks)) - 1 & ~union_over(self.missing, seed)
 
     def position(self, seed: int) -> int:
         """Position of the seed's closure: closed subsets meet, so it is the lowest above it."""
@@ -179,6 +174,6 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
                 found.add(c)
                 work.append(c)
     masks = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
-    positions = tuple(mask_of(i for i, m in enumerate(masks) if m >> x & 1) for x in h.elements())
+    missing = tuple(mask_of(i for i, m in enumerate(masks) if not m >> x & 1) for x in h.elements())
     index = {m: i for i, m in enumerate(masks)}
-    return ClosedSubsetLattice(masks=masks, positions=positions, index=index)
+    return ClosedSubsetLattice(masks=masks, missing=missing, index=index)

@@ -184,6 +184,7 @@ class Hypergroup:
     packed_cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # Mask of the thin elements s (s*·s = {1}); always holds the identity.
     thin_part: int = field(init=False, repr=False, compare=False)
+    star_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)  # x: 1 << star(x)
 
     def __post_init__(self) -> None:
         rows, cols = packed(self.table), tuple(zip(*self.table))
@@ -191,6 +192,7 @@ class Hypergroup:
         object.__setattr__(self, "packed_cols", rows if cols == self.table else packed(cols))
         object.__setattr__(self, "thin_part", mask_of(
             s for s, t in enumerate(self.star) if self.table[t][s] == 1))
+        object.__setattr__(self, "star_bits", tuple(1 << t for t in self.star))
 
     def __reduce__(self):
         # Unpickling goes through the validator, so copies are interned too.
@@ -217,13 +219,8 @@ class Hypergroup:
         return array("Q", union_over(self.packed_cols, p).to_bytes(8 * self.order, "little"))
 
     def set_star(self, s: int) -> int:
-        acc = 0
-        star = self.star
-        while s:
-            lo = s & -s
-            acc |= 1 << star[lo.bit_length() - 1]
-            s ^= lo
-        return acc
+        """star(x) for every member x of s: the OR of their star bits."""
+        return union_over(self.star_bits, s)
 
     def is_thin(self) -> bool:
         return self.thin_part == self.full

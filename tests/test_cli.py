@@ -25,9 +25,11 @@ from hyperalg.fileformat import (
     read_table,
     serialize,
 )
+from hyperalg import series
 from hyperalg.groups import from_group, symmetric
+from hyperalg.harness import build_corpus, run_harness
 from hyperalg.report import analyze, render_machine
-from hyperalg.series import verify_statement
+from hyperalg.series import HOLDS, HYPOTHESIS_NOT_MET, VIOLATED, verify_statement
 
 
 C2_TEXT = """hypergroup v1
@@ -336,6 +338,26 @@ def test_verify_command(capsys):
                  "--statements", "thm-center,lem-com"]) == 0
     out = capsys.readouterr().out
     assert "statement thm-center:" in out and "violations = 0" in out
+
+
+def test_verify_reports_a_violation(monkeypatch, capsys):
+    """A check that returns a witness is tallied VIOLATED, listed with it, and
+    makes `verify` exit 1; its hypothesis still runs first."""
+    hypothesis, _ = series.STATEMENTS["thm-center"]
+    monkeypatch.setitem(series.STATEMENTS, "thm-center", (
+        hypothesis, lambda h: f"planted, order {h.order}" if h.order == 4 else None))
+    report = run_harness(build_corpus(max_enum_order=2, groups_up_to=4), ["thm-center"])
+    assert report.tallies == {"thm-center": {HOLDS: 3, HYPOTHESIS_NOT_MET: 1, VIOLATED: 2}}
+    assert report.violated
+    want = ["corpus = 6",
+            "statement thm-center: holds=3 hypothesis-not-met=1 VIOLATED=2",
+            "violations = 2",
+            "VIOLATED thm-center on c4: planted, order 4",
+            "VIOLATED thm-center on v4: planted, order 4"]
+    assert report.lines() == want
+    assert main(["verify", "--order", "2", "--groups-up-to", "4",
+                 "--statements", "thm-center"]) == 1
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
 def test_verify_repeated_statement_runs_once(capsys):

@@ -63,6 +63,8 @@ def test_generated_closure_examples(nonthin2, s3):
     assert generated_closure(nonthin2, 1) == 1
     assert generated_closure(nonthin2, 2) == 3  # a generates everything
     assert generated_closure(s3, 1 << 3) == A3  # a three-cycle generates A3
+    with pytest.raises(EmptySet):
+        generated_closure(s3, 0)
 
 
 def test_closure_operator_laws(small_corpus):
@@ -204,36 +206,16 @@ def test_generated_closure_matches_element_loop(enum2, enum3, corpus, a5, order6
             assert generated_closure(h, seed) == closure_by_elements(h, seed), (h.table, seed)
 
 
-def fixpoint_closure(h, seed):
-    """Smallest closed subset containing the seed, as the fixpoint of
-    B -> B | B·B from {identity} | seed | star(seed) (oracle)."""
-    cur = 1 | seed | h.set_star(seed)
-    new = cur
-    while new:
-        new = (h.set_product(cur, new) | h.set_product(new, cur)) & ~cur
-        cur |= new
-    return cur
-
-
-def test_generated_closure_matches_fixpoint(enum2, enum3, corpus, a5):
-    for h in list(enum2.survivors) + list(enum3.survivors):
-        for seed in range(1, h.full + 1):
-            assert generated_closure(h, seed) == fixpoint_closure(h, seed), (h.table, seed)
-    rng = random.Random(9)
-    for h in [*corpus, a5]:
-        for seed in {rng.randint(1, h.full) for _ in range(16)}:
-            assert generated_closure(h, seed) == fixpoint_closure(h, seed), (h.table, seed)
-
-
 def single_extension_lattice(h):
     """All closed subsets by closing F | {x} for every found F and every x
-    outside it (oracle: about L·n closures, no double cosets)."""
-    found = {fixpoint_closure(h, 1 << x) for x in h.elements()}
+    outside it (oracle: about L·n closures by the element loop, no double
+    cosets, no set products)."""
+    found = {closure_by_elements(h, 1 << x) for x in h.elements()}
     work = list(found)
     while work:
         f = work.pop()
         for x in members(h.full & ~f):
-            c = fixpoint_closure(h, f | (1 << x))
+            c = closure_by_elements(h, f | (1 << x))
             if c not in found:
                 found.add(c)
                 work.append(c)
@@ -265,14 +247,14 @@ def lattice_cases(corpus, a5, order64):
         yield h, lat, sorted(sample, key=lat.masks.index)
 
 
-def test_lattice_closure_matches_fixpoint_closure(corpus, a5, order64):
-    """Closure and position of random seeds against the fixpoint; position,
+def test_lattice_closure_matches_element_loop(corpus, a5, order64):
+    """Closure and position of random seeds against the element loop; position,
     index and supersets of members against scans of the member list."""
     rng = random.Random(6)
     for h in [*corpus, a5, *order64]:
         lat = all_closed_subsets(h)
         for seed in {rng.randint(1, h.full) for _ in range(16)}:
-            want = fixpoint_closure(h, seed)
+            want = closure_by_elements(h, seed)
             assert lat.closure(seed) == want, (h.table, seed)
             assert lat.position(seed) == lat.masks.index(want), (h.table, seed)
     with pytest.raises(EmptySet):
@@ -285,6 +267,27 @@ def test_lattice_closure_matches_fixpoint_closure(corpus, a5, order64):
             where = (h.table, m)
             assert lat.index[m] == lat.position(m) == lat.masks.index(m), where
             assert lat.supersets(m) == supersets_by_scan(lat, m), where
+
+
+def above_by_scan(lat, seed):
+    """Positions of the members holding the seed, by a scan over every member
+    (oracle for `ClosedSubsetLattice.above`)."""
+    return mask_of(i for i, m in enumerate(lat.masks) if seed & ~m == 0)
+
+
+def test_lattice_above_matches_member_scan(enum2, enum3, corpus, a5, order64,
+                                           double_coset_quotients):
+    """Every seed of the order-2..3 survivors; 16 random seeds, {1} and H of
+    the corpus, a5, order 64 and the double-coset quotients."""
+    for h in [*enum2.survivors, *enum3.survivors]:
+        lat = all_closed_subsets(h)
+        for seed in range(1, h.full + 1):
+            assert lat.above(seed) == above_by_scan(lat, seed), (h.table, seed)
+    rng = random.Random(30)
+    for h in [*corpus, a5, *order64, *double_coset_quotients]:
+        lat = all_closed_subsets(h)
+        for seed in {1, h.full, *(rng.randint(1, h.full) for _ in range(16))}:
+            assert lat.above(seed) == above_by_scan(lat, seed), (h.table, seed)
 
 
 def test_closed_subsets_are_subgroups_for_imports(thin_imports, group_tables):

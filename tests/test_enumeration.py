@@ -193,6 +193,9 @@ def test_from_group_rejects_broken_tables():
     assert "associativity" in str(err.value) or "inverse" in str(err.value)
     with pytest.raises(NotAGroup):
         from_group([[0, 1], [1, 0], [0, 1]])      # not square
+    for entry in (2, -1, "1"):                    # not an index of the table
+        with pytest.raises(NotAGroup, match=f"^entry {entry!r} out of range$"):
+            from_group([[0, 1], [1, entry]])
 
 
 def test_builtin_groups_classification():

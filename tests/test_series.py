@@ -5,8 +5,8 @@ import pytest
 
 import group_oracle as oracle
 from hyperalg import series
-from hyperalg.closed import (all_closed_subsets, is_closed, is_normal, is_strongly_normal,
-                             strong_normalizer)
+from hyperalg.closed import (EmptySet, all_closed_subsets, is_closed, is_normal,
+                             is_strongly_normal, strong_normalizer)
 from hyperalg.core import mask_of, members, validate
 from hyperalg.groups import cyclic, dihedral, direct_product, from_group, quaternion8
 from hyperalg.quotient import build_quotient, project_subset
@@ -50,6 +50,9 @@ def test_commutator_subset_examples(nonthin2, s3, thin_imports):
     assert commutator_subset(v4, v4.full, v4.full) == 1
     assert commutator_subset(nonthin2, nonthin2.full, 1) == 3
     assert commutator_subset(s3, s3.full, s3.full) == A3
+    for a, b in ((0, s3.full), (s3.full, 0)):
+        with pytest.raises(EmptySet):
+            commutator_subset(s3, a, b)
 
 
 def test_commutator_subset_is_minimal_closed_cover(enum2, enum3):
