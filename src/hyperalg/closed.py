@@ -144,18 +144,18 @@ class ClosedSubsetLattice:
 def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
     """Build (and memoise) the full lattice of closed subsets.
 
-    From the trivial subset up, close F | {x} for one x in each double
-    coset FxF ≠ F of every found F: any y in FxF gives the same closure,
-    since x lies in F·y·F (H3, twice).  Complete, as any closed K is
-    reached from a found F ⊂ K through some x in K - F, whose closure
-    with F stays inside K; the 2^n subset space is never touched.
+    From the trivial subset up, close F | {x} for one x in each double coset FxF ≠ F
+    of every found F: any y in FxF gives the same closure, since x lies in F·y·F (H3,
+    twice).  Complete, as any closed K is reached from a found F ⊂ K through some x in
+    K - F, whose closure with F stays inside K; the 2^n subset space is never touched.
 
-    As F is closed, that closure is F with every power of S = FxF | Fx*F
-    (S is star-stable, F·S = S·F = S), grown from F | S by multiplying the
-    newest members by S; Fx*F, which gives the same closure, is skipped too.
+    As F is closed, that closure is F with every power of S = FxF | Fx*F (S is
+    star-stable, F·S = S·F = S; Fx*F, with the same closure, is skipped), grown
+    from F | S by multiplying the newest members by S.  Growth stops at the first
+    found member, as each is closed and the growing set lies inside the closure:
+    that member is the closure.  `missing` is one transpose of the members' complements.
     """
-    found = {1}
-    work = [1]
+    found, work = {1}, [1]
     while work:
         f = work.pop()
         fx, xf = h.left_products(f), h.right_products(f)
@@ -166,14 +166,17 @@ def all_closed_subsets(h: Hypergroup) -> ClosedSubsetLattice:
             if not s >> h.star[x] & 1:  # else Fx*F = FxF
                 s |= union_over(xf, fx[h.star[x]])
             rest &= ~s
+            if f | s in found:
+                continue
             by_s, c, new = h.right_products(s), f | s, s  # entry y of by_s holds y·S
-            while new:
+            while new and c not in found:
                 new = union_over(by_s, new) & ~c
                 c |= new
-            if c not in found:
+            if not new:  # grown to the end: a closure not found before
                 found.add(c)
                 work.append(c)
     masks = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
-    missing = tuple(mask_of(i for i, m in enumerate(masks) if not m >> x & 1) for x in h.elements())
+    lacks = zip(*[format(h.full ^ m, f"0{h.order}b") for m in reversed(masks)])  # x = n-1..0
+    missing = tuple(int("".join(col), 2) for col in lacks)[::-1]
     index = {m: i for i, m in enumerate(masks)}
     return ClosedSubsetLattice(masks=masks, missing=missing, index=index)

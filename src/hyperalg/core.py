@@ -319,15 +319,17 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
     if assoc_bad:
         raise AssocViolation(*assoc_bad[0], count=len(assoc_bad))
 
+    cols = [*zip(*table)]  # k in i·j needs j in star(i)·k and i in k·star(j)
     exch_bad = []
-    for i in range(order):
-        si = star[i]
-        for j in range(order):
-            sj = star[j]
-            cell = table[i][j]
-            for k in bits(cell):
-                if not (table[si][k] >> j) & 1 or not (table[k][sj] >> i) & 1:
+    for i, row in enumerate(table):
+        row_si = table[star[i]]
+        for j, cell in enumerate(row):
+            col_sj = cols[star[j]]
+            while cell:
+                k = (cell & -cell).bit_length() - 1
+                if not row_si[k] >> j & 1 or not col_sj[k] >> i & 1:
                     exch_bad.append((i, j, k))
+                cell &= cell - 1
     if exch_bad:
         raise ExchangeViolation(*exch_bad[0], count=len(exch_bad))
 

@@ -197,8 +197,8 @@ def thin_residue(h: Hypergroup) -> int:
     return meet
 
 
-def _step_order(h: Hypergroup, f: int, k: int) -> int:
-    """|K//F| for a strongly normal step F ⊂ K, read from H//F.
+def _step_order(q: Quotient, f: int, k: int) -> int:
+    """|K//F| for a strongly normal step F ⊂ K, read from q = H//F.
 
     K is closed and contains F, so every double coset FxF with x in K lies
     in K: K is a union of blocks of H//F, which are the blocks of K//F with
@@ -206,7 +206,6 @@ def _step_order(h: Hypergroup, f: int, k: int) -> int:
     |K//F| steps; the lift of the image must give K back.  Strong normality
     makes the blocks thin.  Either failure raises InternalMismatch.
     """
-    q = build_quotient(h, f)
     image = project_subset(q, k & q.reps)
     if lift_blocks(q, image) != k:
         raise InternalMismatch(f"{members(k)} is not a union of blocks over {members(f)}")
@@ -220,8 +219,9 @@ def _thin_steps(h: Hypergroup, f: int) -> tuple[tuple[int, int], ...]:
     """(K, |K//F|) for every strongly normal step F ⊂ K, K in lattice order: star(x)·F·x
     inside F for every x in K, that is K inside F's strong normalizer."""
     normalizer = strong_normalizer(h, f)
-    return tuple((k, _step_order(h, f, k)) for k in all_closed_subsets(h).supersets(f)
-                 if k & ~normalizer == 0)
+    steps = [k for k in all_closed_subsets(h).supersets(f) if k & ~normalizer == 0]
+    q = build_quotient(h, f) if steps else None  # H//F, once, and only for a step
+    return tuple((k, _step_order(q, f, k)) for k in steps)
 
 
 @memo

@@ -290,6 +290,36 @@ def test_lattice_above_matches_member_scan(enum2, enum3, corpus, a5, order64,
             assert lat.above(seed) == above_by_scan(lat, seed), (h.table, seed)
 
 
+def test_lattice_missing_matches_its_definition(corpus, a5, order64, double_coset_quotients):
+    """Bit i of missing[x] is set iff masks[i] lacks x, for every element x of the
+    corpus, a5, order 64, D4×C2^3 and the double-coset quotients."""
+    c2_3 = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+    d4xc2_3 = from_group(direct_product(dihedral(4), c2_3))
+    for h in [*corpus, a5, *order64, d4xc2_3, *double_coset_quotients]:
+        lat = all_closed_subsets(h)
+        assert len(lat.missing) == h.order, h.table
+        for x in h.elements():
+            want = mask_of(i for i, m in enumerate(lat.masks) if not m >> x & 1)
+            assert lat.missing[x] == want, (h.table, x)
+
+
+def test_lattice_grows_no_found_member_again(monkeypatch):
+    """C2^5's walk calls `right_products` once per found F and once per new
+    member, 2·374 - 1 = 747 times: a closure stops at the first found member
+    it reaches, before growing it (2451 calls when every closure ran to the end)."""
+    c2_5 = [[0]]
+    for _ in range(5):
+        c2_5 = direct_product(c2_5, cyclic(2))
+    h = from_group(c2_5)
+    monkeypatch.delitem(h.__dict__, "_memo", raising=False)
+    calls = []
+    right_products = Hypergroup.right_products
+    monkeypatch.setattr(Hypergroup, "right_products",
+                        lambda self, p: calls.append(p) or right_products(self, p))
+    assert len(all_closed_subsets(h)) == 374
+    assert len(calls) == 2 * 374 - 1
+
+
 def test_closed_subsets_are_subgroups_for_imports(thin_imports, group_tables):
     for name, h in thin_imports.items():
         if h.order > 8:
@@ -576,7 +606,7 @@ def test_lattice_edges_match_sub_hypergroup_route(corpus, a5):
                 strong = _strongly_normal_by_loop(sub, small)
                 assert strongly_normal_in(h, f, k) == strong, where
                 if strong:
-                    assert _step_order(h, f, k) == len(build_quotient(sub, small).blocks), where
+                    assert _step_order(build_quotient(h, f), f, k) == len(build_quotient(sub, small).blocks), where
 
 
 def test_normality_guard_raises():

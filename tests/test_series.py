@@ -152,7 +152,7 @@ def test_step_order_rejects_a_superset_that_is_not_a_union_of_blocks(s3):
     """A3 plus one transposition meets the block of the transpositions
     without holding it: the lift of its image is not the set itself."""
     with pytest.raises(InternalMismatch) as err:
-        series._step_order(s3, A3, A3 | 1 << 1)
+        series._step_order(build_quotient(s3, A3), A3, A3 | 1 << 1)
     assert str(err.value) == "(0, 1, 3, 4) is not a union of blocks over (0, 3, 4)"
 
 
