@@ -13,11 +13,11 @@ reproduce the value already recorded there, so chain independence is
 checked exactly without listing any chain.  A disagreement, or a broken
 series invariant, raises InternalMismatch because it can only mean a bug.
 
-Each kernel is worked out once per hypergroup: `_thin_steps` lists the
-strongly normal steps out of a closed subset, the one home of that edge,
-for strong subnormality (`thm-strongly`), `is_solvable` and the
-valencies, and `_normal_quotients` lists (F, H//F) over the proper normal F
-for every quotient statement but `lem-sn`, which visits every proper kernel.
+Each kernel is worked out once per hypergroup: `_supersets` lists the closed K above a
+closed F with the image K/F in H//F and whether F ⊂ K is a strongly normal step, the one
+home of that edge, for `lem-sn` and, through `_thin_steps`, strong subnormality
+(`thm-strongly`), `is_solvable` and the valencies; `_normal_quotients` lists (F, H//F)
+over the proper normal F for the other quotient statements.
 Over {1} and H the quotient is H itself and a point: no statement fails there.
 """
 
@@ -197,31 +197,31 @@ def thin_residue(h: Hypergroup) -> int:
     return meet
 
 
-def _step_order(q: Quotient, f: int, k: int) -> int:
-    """|K//F| for a strongly normal step F ⊂ K, read from q = H//F.
-
-    K is closed and contains F, so every double coset FxF with x in K lies
-    in K: K is a union of blocks of H//F, which are the blocks of K//F with
-    the same products.  So K projects as its block representatives do, in
-    |K//F| steps; the lift of the image must give K back.  Strong normality
-    makes the blocks thin.  Either failure raises InternalMismatch.
-    """
-    image = project_subset(q, k & q.reps)
-    if lift_blocks(q, image) != k:
-        raise InternalMismatch(f"{members(k)} is not a union of blocks over {members(f)}")
-    if image & ~q.induced.thin_part:
-        raise InternalMismatch(f"step {members(f)} -> {members(k)} is not thin")
-    return image.bit_count()
-
-
 @memo
-def _thin_steps(h: Hypergroup, f: int) -> tuple[tuple[int, int], ...]:
-    """(K, |K//F|) for every strongly normal step F ⊂ K, K in lattice order: star(x)·F·x
-    inside F for every x in K, that is K inside F's strong normalizer."""
-    normalizer = strong_normalizer(h, f)
-    steps = [k for k in all_closed_subsets(h).supersets(f) if k & ~normalizer == 0]
-    q = build_quotient(h, f) if steps else None  # H//F, once, and only for a step
-    return tuple((k, _step_order(q, f, k)) for k in steps)
+def _supersets(h: Hypergroup, f: int) -> tuple[tuple[int, int, bool], ...]:
+    """(K, K/F, thin) for F and then every closed K above it, in lattice order (none for H).
+
+    A closed K ⊇ F is a union of blocks of H//F (FxF lies in K for x in K), the blocks of
+    K//F with the same products: K projects as its block representatives do, in |K//F|
+    steps, and the lift of the image must give K back.  `thin` marks a strongly normal
+    step, K inside F's strong normalizer, whose image must be thin; else InternalMismatch."""
+    if f == h.full:
+        return ()
+    q, normalizer = build_quotient(h, f), strong_normalizer(h, f)  # H//F, once
+    rows = []
+    for k in (f, *all_closed_subsets(h).supersets(f)):
+        image, thin = project_subset(q, k & q.reps), k & ~normalizer == 0
+        if lift_blocks(q, image) != k:
+            raise InternalMismatch(f"{members(k)} is not a union of blocks over {members(f)}")
+        if thin and image & ~q.induced.thin_part:
+            raise InternalMismatch(f"step {members(f)} -> {members(k)} is not thin")
+        rows.append((k, image, thin))
+    return tuple(rows)
+
+
+def _thin_steps(h: Hypergroup, f: int) -> list[tuple[int, int]]:
+    """(K, |K//F|) for every strongly normal step F ⊂ K, K in lattice order."""
+    return [(k, image.bit_count()) for k, image, thin in _supersets(h, f)[1:] if thin]
 
 
 @memo
@@ -463,11 +463,9 @@ def _check_lem_qu(h: Hypergroup) -> str | None:
 
 def _check_lem_sn(h: Hypergroup) -> str | None:
     """Strong normalizers commute with quotients, over every proper kernel."""
-    lat = all_closed_subsets(h)
-    for k in lat.masks[1:-1]:
+    for k in all_closed_subsets(h).masks[1:-1]:
         q = build_quotient(h, k)
-        for f in (k, *lat.supersets(k)):
-            pf = project_subset(q, f)
+        for f, pf, _ in _supersets(h, k):
             if not is_closed(q.induced, pf):
                 raise InternalMismatch(f"projection of {members(f)} over "
                                        f"{members(k)} is not closed")

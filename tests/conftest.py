@@ -5,6 +5,8 @@ import pytest
 from hyperalg.closed import all_closed_subsets
 from hyperalg.enumeration import enumerate_hypergroups
 from hyperalg.groups import alternating, builtin_groups, cyclic, dihedral, direct_product, from_group
+from hyperalg.quotient import build_quotient
+from set_products import double_coset
 
 
 @pytest.fixture(scope="session")
@@ -91,3 +93,23 @@ def quotient_kernels(corpus, a5, order64):
     for h in order64:
         cases += [(h, f) for f in rng.sample(all_closed_subsets(h).masks, 32)]
     return cases
+
+
+@pytest.fixture(scope="session")
+def double_coset_quotients(group_tables):
+    """The distinct non-thin quotients G//F of order 5 to 12 over non-normal F,
+    for A5 and products of the bundled groups; each one's blocks are checked
+    against `double_coset`."""
+    g = dict(group_tables, a5=alternating(5))
+    bases = [g["a5"], *(direct_product(g[a], g[b]) for a, b in
+                        [("a4", "c2"), ("s3", "s3"), ("d4", "c2"), ("s3", "c3"), ("d5", "c2")])]
+    found = {}
+    for base in map(from_group, bases):
+        for f in all_closed_subsets(base).masks:
+            quotient = build_quotient(base, f)
+            q = quotient.induced
+            if 5 <= q.order <= 12 and not q.is_thin() and q.table not in found:
+                assert quotient.blocks == tuple(dict.fromkeys(
+                    double_coset(base, x, f) for x in base.elements())), (base.table, f)
+                found[q.table] = q
+    return list(found.values())

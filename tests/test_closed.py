@@ -18,10 +18,10 @@ from hyperalg.closed import (
     strong_normalizer,
 )
 from hyperalg.core import Hypergroup, InternalMismatch, mask_of, members
-from hyperalg.groups import alternating, cyclic, dihedral, direct_product, from_group
+from hyperalg.groups import cyclic, dihedral, direct_product, from_group
 from hyperalg.quotient import build_quotient
 from hyperalg.report import analyze
-from hyperalg.series import _step_order
+from hyperalg.series import _supersets
 from set_products import closure_by_elements, double_coset, set_product_many
 from sub_masks import sub_hypergroup, to_sub_mask
 
@@ -135,26 +135,6 @@ def test_lattice_closed_under_intersection(small_corpus):
         for a in masks:
             for b in masks:
                 assert a & b in masks
-
-
-@pytest.fixture(scope="module")
-def double_coset_quotients(group_tables):
-    """The distinct non-thin quotients G//F of order 5 to 12 over non-normal F,
-    for A5 and products of the bundled groups; each one's blocks are checked
-    against `double_coset`."""
-    g = dict(group_tables, a5=alternating(5))
-    bases = [g["a5"], *(direct_product(g[a], g[b]) for a, b in
-                        [("a4", "c2"), ("s3", "s3"), ("d4", "c2"), ("s3", "c3"), ("d5", "c2")])]
-    found = {}
-    for base in map(from_group, bases):
-        for f in all_closed_subsets(base).masks:
-            quotient = build_quotient(base, f)
-            q = quotient.induced
-            if 5 <= q.order <= 12 and not q.is_thin() and q.table not in found:
-                assert quotient.blocks == tuple(dict.fromkeys(
-                    double_coset(base, x, f) for x in base.elements())), (base.table, f)
-                found[q.table] = q
-    return list(found.values())
 
 
 def test_lattice_matches_brute_force(enum2, enum3, enum4, double_coset_quotients):
@@ -592,9 +572,11 @@ def test_lattice_edges_match_sub_hypergroup_route(corpus, a5):
     bundled groups <= 12 and a5: normality in H against the element loop, and
     for f ⊂ k normality inside the sub-hypergroup on k against that loop, and
     the strong edge decided on the ambient table and again inside that
-    sub-hypergroup."""
+    sub-hypergroup; for a strong edge, |K//F| read from `series._supersets` against
+    that sub-hypergroup's own quotient."""
     for h in [*corpus, a5]:
         lat = all_closed_subsets(h)
+        rows = {f: {k: row for k, *row in _supersets(h, f)} for f in lat.masks}
         for k in lat.masks:
             sub, elems = sub_hypergroup(h, k)
             for f in lat.masks:
@@ -609,8 +591,10 @@ def test_lattice_edges_match_sub_hypergroup_route(corpus, a5):
                 assert is_normal(sub, small) == normalized_by_loop(h, f, k), where
                 strong = _strongly_normal_by_loop(sub, small)
                 assert strongly_normal_in(h, f, k) == strong, where
+                image, thin = rows[f][k]
+                assert thin == strong, where
                 if strong:
-                    assert _step_order(build_quotient(h, f), f, k) == len(build_quotient(sub, small).blocks), where
+                    assert image.bit_count() == len(build_quotient(sub, small).blocks), where
 
 
 def test_normality_guard_raises():

@@ -5,10 +5,10 @@ import pytest
 
 import group_oracle as oracle
 from hyperalg import series
-from hyperalg.closed import (EmptySet, all_closed_subsets, is_closed, is_normal,
+from hyperalg.closed import (ClosedSubsetLattice, EmptySet, all_closed_subsets, is_closed, is_normal,
                              is_strongly_normal, strong_normalizer)
 from hyperalg.core import mask_of, members, validate
-from hyperalg.groups import cyclic, dihedral, direct_product, from_group, quaternion8
+from hyperalg.groups import alternating, cyclic, dihedral, direct_product, from_group, quaternion8
 from hyperalg.quotient import build_quotient, project_subset
 from hyperalg.report import analyze
 from hyperalg.series import (
@@ -30,6 +30,7 @@ from hyperalg.series import (
     valency,
     verify_statement,
 )
+from products import product_hypergroup
 from set_products import positions_by_pairs
 from sub_masks import sub_hypergroup, to_sub_mask
 
@@ -148,24 +149,32 @@ def test_solvable(s3, nonthin2):
     assert is_solvable(nonthin2) == (False, None, None)
 
 
-def test_step_order_rejects_a_superset_that_is_not_a_union_of_blocks(s3):
-    """A3 plus one transposition meets the block of the transpositions
-    without holding it: the lift of its image is not the set itself."""
+def test_step_order_rejects_a_superset_that_is_not_a_union_of_blocks(s3, monkeypatch):
+    """A planted fault: the lattice lists A3 plus one transposition above A3.  That set
+    meets the block of the transpositions without holding it, so the lift of its image
+    is not the set itself."""
+    monkeypatch.setitem(vars(s3), "_memo", {})  # rebuild the rows under the fault
+    monkeypatch.setattr(ClosedSubsetLattice, "supersets", lambda lat, f: (A3 | 1 << 1,))
     with pytest.raises(InternalMismatch) as err:
-        series._step_order(build_quotient(s3, A3), A3, A3 | 1 << 1)
+        series._supersets(s3, A3)
     assert str(err.value) == "(0, 1, 3, 4) is not a union of blocks over (0, 3, 4)"
 
 
 def test_step_image_reads_block_representatives(quotient_kernels):
-    """K & reps projects as K does for every strongly normal step F ⊂ K."""
-    steps = 0
+    """K & reps projects as K does for every closed K ⊇ F, and that image is the
+    one `_supersets` keeps, F first and the rest in lattice order."""
+    rows = 0
     for h, f in quotient_kernels:
-        lat, q = all_closed_subsets(h), build_quotient(h, f)
-        for k in lat.supersets(f):
-            if k & ~strong_normalizer(h, f) == 0:
-                assert project_subset(q, k & q.reps) == project_subset(q, k), (h.order, f, k)
-                steps += 1
-    assert steps
+        if f == h.full:
+            assert series._supersets(h, f) == ()
+            continue
+        q, supersets = build_quotient(h, f), (f, *all_closed_subsets(h).supersets(f))
+        assert [k for k, _, _ in series._supersets(h, f)] == list(supersets), (h.order, f)
+        for k, image, thin in series._supersets(h, f):
+            assert project_subset(q, k & q.reps) == project_subset(q, k) == image, (h.order, f, k)
+            assert thin == (k & ~strong_normalizer(h, f) == 0), (h.order, f, k)
+            rows += 1
+    assert rows
 
 
 def solvable_by_search(h):
@@ -256,6 +265,44 @@ def test_not_rt(nonthin2):
         rt_analysis(nonthin2)
     with pytest.raises(NotRT):
         valency(nonthin2)
+
+
+def test_sylow_subsets_are_the_sylow_subgroups(group_tables):
+    """On the bundled groups of order at most 12, D4×C2, S3×S3 and A5,
+    `rt_analysis(G).sylow[p]` is exactly the subgroups of order p^a, p^a the full
+    power of p in |G|, by the group oracle.  Each count is 1 mod p, and G is
+    nilpotent iff every list has one member."""
+    g = dict(group_tables, d4xc2=direct_product(group_tables["d4"], group_tables["c2"]),
+             s3xs3=direct_product(group_tables["s3"], group_tables["s3"]), a5=alternating(5))
+    assert len(g) >= 15
+    for name, table in g.items():
+        h, subgroups = from_group(table), oracle.all_subgroups(table)
+        sylow = rt_analysis(h).sylow
+        assert set(sylow) == set(series._prime_factors(h.order)), name
+        for p, found in sylow.items():
+            power = p ** next(a for a in range(h.order) if h.order % p ** (a + 1))
+            assert {frozenset(members(c)) for c in found} == \
+                {s for s in subgroups if len(s) == power}, (name, p)
+            assert len(found) % p == 1, (name, p)
+        assert is_nilpotent(h)[0] == all(len(found) == 1 for found in sylow.values()), name
+
+
+def test_only_thin_hypergroups_are_nilpotent(corpus, double_coset_quotients, enum3, thin_imports):
+    """Every lower-central term from the second on holds the thin residue, so
+    `is_nilpotent(h)` implies that h is thin.
+
+    Proof: the identity lies in every closed subset, and the commutator [1, a] is
+    1*·a*·1·a = a*·a (and [a, 1] = a*·a).  So the term [X, H] after a closed X holds
+    a*·a for every a in H; it is closed, so it holds their closure, the thin residue
+    (`thin_residue`'s second route).  A series that ends at {1} then has thin
+    residue {1}: a*·a = {1} for every a, and every element is thin."""
+    products = [product_hypergroup(h, thin_imports[g]) for h in enum3.canonical[:4] for g in ("c2", "s3")]
+    cases = [*corpus, *double_coset_quotients, *products]
+    assert any(not h.is_thin() for h in products)
+    for h in cases:
+        residue = thin_residue(h)
+        assert all(term & residue == residue for term in lower_central_series(h)[1:]), h.table
+        assert h.is_thin() or not is_nilpotent(h)[0], h.table
 
 
 def _chain_valencies(h, c) -> set[int]:
