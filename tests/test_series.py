@@ -160,6 +160,52 @@ def test_step_order_rejects_a_superset_that_is_not_a_union_of_blocks(s3, monkeyp
     assert str(err.value) == "(0, 1, 3, 4) is not a union of blocks over (0, 3, 4)"
 
 
+def test_supersets_rejects_a_strong_step_whose_image_is_not_thin(s3, monkeypatch):
+    """A planted fault: the strong normalizer of every subset is all of S3, so the step
+    from the transposition subgroup (0, 1) to S3 counts as strongly normal, but its
+    image in S3//(0, 1), a quotient of order 2 over a non-normal kernel, is not thin."""
+    monkeypatch.setitem(vars(s3), "_memo", {})  # rebuild the rows under the fault
+    monkeypatch.setattr(series, "strong_normalizer", lambda h, f: h.full)
+    with pytest.raises(InternalMismatch) as err:
+        series._supersets(s3, mask_of((0, 1)))
+    assert str(err.value) == "step (0, 1) -> (0, 1, 2, 3, 4, 5) is not thin"
+
+
+def test_valencies_reject_a_chain_dependent_valency(thin_imports, monkeypatch):
+    """A planted fault: in C6 the step (0, 3) -> C6 reads one block instead of three.  The
+    one-step chain {1} -> C6 records valency 6 first, and the chain through (0, 3) gives 2·1."""
+    h = thin_imports["c6"]
+    monkeypatch.setitem(vars(h), "_memo", {})  # recompute the valencies under the fault
+    original = series._supersets
+
+    def faulty(g, f):
+        rows = original(g, f)
+        if g is h and f == mask_of((0, 3)):
+            return tuple((k, 1 if k == h.full else image, thin) for k, image, thin in rows)
+        return rows
+
+    monkeypatch.setattr(series, "_supersets", faulty)
+    with pytest.raises(InternalMismatch) as err:
+        series._valencies(h)
+    assert str(err.value) == "valency of (0, 1, 2, 3, 4, 5) is chain dependent: 6 vs 2"
+
+
+def test_lem_sn_projection_not_closed_raises(thin_imports, monkeypatch):
+    """A planted fault: over d4's kernel (0, 2), every image is the lone block 1, which
+    is not closed in the quotient, so its strong normalizer cannot be compared."""
+    h = thin_imports["d4"]
+    original = series._supersets
+
+    def faulty(g, f):
+        rows = original(g, f)
+        return tuple((k, 2, thin) for k, _, thin in rows) if f == mask_of((0, 2)) else rows
+
+    monkeypatch.setattr(series, "_supersets", faulty)
+    with pytest.raises(InternalMismatch) as err:
+        verify_statement(h, "lem-sn")
+    assert str(err.value) == "projection of (0, 2) over (0, 2) is not closed"
+
+
 def test_step_image_reads_block_representatives(quotient_kernels):
     """K & reps projects as K does for every closed K ⊇ F, and that image is the
     one `_supersets` keeps, F first and the rest in lattice order."""
