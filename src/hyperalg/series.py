@@ -13,11 +13,11 @@ reproduce the value already recorded there, so chain independence is
 checked exactly without listing any chain.  A disagreement, or a broken
 series invariant, raises InternalMismatch because it can only mean a bug.
 
-Each kernel is worked out once per hypergroup: `_supersets` lists the closed K above a
-closed F with the image K/F in H//F and whether F ⊂ K is a strongly normal step, the one
-home of that edge, for `lem-sn` and, through `_thin_steps`, strong subnormality
-(`thm-strongly`), `is_solvable` and the valencies; `_normal_quotients` lists (F, H//F)
-over the proper normal F for the other quotient statements.
+Each kernel is worked out once per hypergroup: `_supersets` lists F and the closed K
+above it with the image K/F in H//F and whether F ⊂ K is a strongly normal step, the one
+home of that edge, read in place by `lem-sn`, strong subnormality (`thm-strongly`),
+`is_solvable` and the valencies; `_normal_quotients` lists (F, H//F) over the proper
+normal F for the other quotient statements.
 Over {1} and H the quotient is H itself and a point: no statement fails there.
 """
 
@@ -199,14 +199,12 @@ def thin_residue(h: Hypergroup) -> int:
 
 @memo
 def _supersets(h: Hypergroup, f: int) -> tuple[tuple[int, int, bool], ...]:
-    """(K, K/F, thin) for F and then every closed K above it, in lattice order (none for H).
+    """(K, K/F, thin) for F and then every closed K above it, in lattice order.
 
     A closed K ⊇ F is a union of blocks of H//F (FxF lies in K for x in K), the blocks of
     K//F with the same products: K projects as its block representatives do, in |K//F|
     steps, and the lift of the image must give K back.  `thin` marks a strongly normal
     step, K inside F's strong normalizer, whose image must be thin; else InternalMismatch."""
-    if f == h.full:
-        return ()
     q, normalizer = build_quotient(h, f), strong_normalizer(h, f)  # H//F, once
     rows = []
     for k in (f, *all_closed_subsets(h).supersets(f)):
@@ -219,18 +217,13 @@ def _supersets(h: Hypergroup, f: int) -> tuple[tuple[int, int, bool], ...]:
     return tuple(rows)
 
 
-def _thin_steps(h: Hypergroup, f: int) -> list[tuple[int, int]]:
-    """(K, |K//F|) for every strongly normal step F ⊂ K, K in lattice order."""
-    return [(k, image.bit_count()) for k, image, thin in _supersets(h, f)[1:] if thin]
-
-
 @memo
 def _strongly_subnormal(h: Hypergroup) -> set[int]:
     """Members joined to H by strongly normal steps, in one pass down the lattice:
     f is in when a thin step out of it reaches a member already in."""
     found = {h.full}
     for f in reversed(all_closed_subsets(h).masks[:-1]):
-        if any(k in found for k, _ in _thin_steps(h, f)):
+        if any(thin and k in found for k, _, thin in _supersets(h, f)[1:]):
             found.add(f)
     return found
 
@@ -241,15 +234,15 @@ def is_solvable(h: Hypergroup) -> tuple[bool, tuple[int, ...] | None, tuple[int,
 
     Returns (verdict, chain of masks from the trivial subset to the whole
     set, per-step quotient orders).  Members are visited largest first; each
-    takes its first prime-order step, in `_thin_steps` order, into a member
+    takes its first thin step of prime order, in lattice order, into a member
     already joined to the whole set, followed by that member's chain.  So the
     witness is the one a depth-first search in lattice order finds, and a
     failure is exhaustive.
     """
     chains = {h.full: ((h.full,), ())}
     for f in reversed(all_closed_subsets(h).masks[:-1]):
-        for k, n in _thin_steps(h, f):
-            if k in chains and _prime_factors(n) == (n,):
+        for k, image, thin in _supersets(h, f)[1:]:
+            if thin and k in chains and _prime_factors(n := image.bit_count()) == (n,):
                 chains[f] = (f, *chains[k][0]), (n, *chains[k][1])
                 break
     return (True, *chains[1]) if 1 in chains else (False, None, None)
@@ -268,12 +261,11 @@ def _valencies(h: Hypergroup) -> dict[int, int]:
     recorded for its target: chain independence is checked, not assumed.
     """
     val = {1: 1}
-    for f in all_closed_subsets(h).masks:
+    for f in all_closed_subsets(h).masks[:-1]:
         if f not in val:
             continue
-        for k, n in _thin_steps(h, f):
-            v = val[f] * n
-            if val.setdefault(k, v) != v:
+        for k, image, thin in _supersets(h, f)[1:]:
+            if thin and val.setdefault(k, v := val[f] * image.bit_count()) != v:
                 raise InternalMismatch(
                     f"valency of {members(k)} is chain dependent: {val[k]} vs {v}")
     return val

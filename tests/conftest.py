@@ -96,15 +96,20 @@ def quotient_kernels(corpus, a5, order64):
 
 
 @pytest.fixture(scope="session")
-def double_coset_quotients(group_tables):
+def double_coset_bases(group_tables):
+    """Cayley tables of A5, A4×C2, S3×S3, D4×C2, S3×C3 and D5×C2."""
+    g = group_tables
+    return [alternating(5), *(direct_product(g[a], g[b]) for a, b in
+                              [("a4", "c2"), ("s3", "s3"), ("d4", "c2"), ("s3", "c3"), ("d5", "c2")])]
+
+
+@pytest.fixture(scope="session")
+def double_coset_quotients(double_coset_bases):
     """The distinct non-thin quotients G//F of order 5 to 12 over non-normal F,
-    for A5 and products of the bundled groups; each one's blocks are checked
-    against `double_coset`."""
-    g = dict(group_tables, a5=alternating(5))
-    bases = [g["a5"], *(direct_product(g[a], g[b]) for a, b in
-                        [("a4", "c2"), ("s3", "s3"), ("d4", "c2"), ("s3", "c3"), ("d5", "c2")])]
+    for the double-coset bases; each one's blocks are checked against
+    `double_coset`."""
     found = {}
-    for base in map(from_group, bases):
+    for base in map(from_group, double_coset_bases):
         for f in all_closed_subsets(base).masks:
             quotient = build_quotient(base, f)
             q = quotient.induced

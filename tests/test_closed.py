@@ -365,7 +365,7 @@ def strongly_normal_in(h, f, k):
 def reachable_by_search(lat, f, edge):
     """Is H reached from the member f by steps f -> k with edge(f, k), k a strict
     superset?  A depth-first search per member (oracle for
-    `series._strongly_subnormal`, which reads the steps off `series._thin_steps`)."""
+    `series._strongly_subnormal`, which reads the steps off `series._supersets`)."""
     full = lat.masks[-1]
     seen = {f}
     stack = [f]
@@ -380,13 +380,15 @@ def reachable_by_search(lat, f, edge):
     return False
 
 
-def test_subnormality(s3, thin_imports, corpus, a5, order64):
+def test_subnormality(s3, thin_imports, corpus, a5, order64, double_coset_quotients):
     assert A3 in series._strongly_subnormal(s3)
     assert T12 not in series._strongly_subnormal(s3)
     d4 = thin_imports["d4"]
     for m in all_closed_subsets(d4).masks:
         assert m in series._strongly_subnormal(d4)
-    for h, lat, sample in lattice_cases(corpus, a5, order64):
+    non_thin = [(h, all_closed_subsets(h), all_closed_subsets(h).masks)
+                for h in double_coset_quotients]
+    for h, lat, sample in [*lattice_cases(corpus, a5, order64), *non_thin]:
         for m in sample:
             strongly = reachable_by_search(lat, m, lambda f, k: strongly_normal_in(h, f, k))
             assert (m in series._strongly_subnormal(h)) == strongly, (h.table, m)

@@ -302,7 +302,7 @@ def test_intern_entry_dies_with_last_reference():
     assert core._INTERNED[key] is h
     all_closed_subsets(h)
     build_quotient(h, h.full)
-    series._thin_steps(h, 1)
+    series._supersets(h, 1)
     assert len(h._memo) >= 3
     del h
     gc.collect()

@@ -1,7 +1,8 @@
 import pytest
 
+import group_oracle as oracle
 from hyperalg.closed import all_closed_subsets, is_closed, is_normal, is_strongly_normal
-from hyperalg.core import Hypergroup, bits, mask_of, union_over, validate
+from hyperalg.core import Hypergroup, bits, mask_of, members, union_over, validate
 from hyperalg.groups import cyclic, direct_product, from_group
 from hyperalg.quotient import (
     NotClosed,
@@ -18,6 +19,30 @@ def test_double_coset_examples(s3):
     assert double_coset(s3, 3, A3) == A3          # member of F stays in F
     assert double_coset(s3, 4, 1) == 1 << 4       # trivial kernel
     assert double_coset(s3, 1, A3) == mask_of([1, 2, 5])  # the transpositions
+
+
+def test_double_coset_quotients_match_group_theory(double_coset_bases):
+    """For every closed F of the double-coset bases, against group theory rather than
+    this code: the lifts of the closed subsets of G//F are the subgroups that hold F,
+    G//F is thin iff F is normal, and |G//F| is the number of distinct F·g·F, read from
+    the Cayley table."""
+    pairs, tables, non_thin = 0, set(), set()
+    for table in double_coset_bases:
+        g, subgroups = from_group(table), oracle.all_subgroups(table)
+        for f in all_closed_subsets(g).masks:
+            q, kernel = build_quotient(g, f), frozenset(members(f))
+            lifts = {frozenset(members(lift_blocks(q, c)))
+                     for c in all_closed_subsets(q.induced).masks}
+            assert lifts == {s for s in subgroups if kernel <= s}, (len(table), members(f))
+            assert q.induced.is_thin() == oracle.is_normal_subgroup(table, kernel), members(f)
+            cosets = {frozenset(table[table[a][x]][b] for a in kernel for b in kernel)
+                      for x in range(len(table))}
+            assert q.induced.order == len(cosets), (len(table), members(f))
+            pairs += 1
+            tables.add(q.induced.table)
+            if not q.induced.is_thin() and q.induced.order >= 5:
+                non_thin.add(q.induced.table)
+    assert (pairs, len(tables), len(non_thin)) == (216, 77, 40)
 
 
 def test_quotient_matches_set_product_route(quotient_kernels):

@@ -208,12 +208,12 @@ def test_lem_sn_projection_not_closed_raises(thin_imports, monkeypatch):
 
 def test_step_image_reads_block_representatives(quotient_kernels):
     """K & reps projects as K does for every closed K ⊇ F, and that image is the
-    one `_supersets` keeps, F first and the rest in lattice order."""
+    one `_supersets` keeps, F first and the rest in lattice order; for F = H that is
+    the one row (H, 1, True)."""
     rows = 0
     for h, f in quotient_kernels:
         if f == h.full:
-            assert series._supersets(h, f) == ()
-            continue
+            assert series._supersets(h, f) == ((f, 1, True),)
         q, supersets = build_quotient(h, f), (f, *all_closed_subsets(h).supersets(f))
         assert [k for k, _, _ in series._supersets(h, f)] == list(supersets), (h.order, f)
         for k, image, thin in series._supersets(h, f):
@@ -233,8 +233,9 @@ def solvable_by_search(h):
             return (f,), ()
         if f in dead:
             return None
-        for k, n in series._thin_steps(h, f):
-            if series._prime_factors(n) != (n,):
+        for k, image, thin in series._supersets(h, f)[1:]:
+            n = image.bit_count()
+            if not thin or series._prime_factors(n) != (n,):
                 continue
             tail = extend(k)
             if tail is not None:
@@ -246,10 +247,11 @@ def solvable_by_search(h):
     return (False, None, None) if found is None else (True, *found)
 
 
-def test_solvable_chain_steps_are_prime_thin(small_corpus, corpus, a5, order64):
-    for h in [*corpus, a5, *order64]:
+def test_solvable_chain_steps_are_prime_thin(small_corpus, corpus, a5, order64,
+                                            double_coset_quotients):
+    for h in [*corpus, a5, *order64, *double_coset_quotients]:
         assert is_solvable(h) == solvable_by_search(h), h.table
-    for h in small_corpus:
+    for h in [*small_corpus, *double_coset_quotients]:
         ok, chain, orders = is_solvable(h)
         if not ok:
             continue
@@ -379,10 +381,11 @@ def _chain_valencies(h, c) -> set[int]:
     return products
 
 
-def test_valencies_match_chain_walk(enum2, enum3, enum4, thin_imports):
-    """Every closed subset of every order-2..4 survivor and bundled group <= 12."""
+def test_valencies_match_chain_walk(enum2, enum3, enum4, thin_imports, double_coset_quotients):
+    """Every closed subset of every order-2..4 survivor, bundled group <= 12 and
+    non-thin double-coset quotient of order 5 to 12."""
     corpus = [*enum2.survivors, *enum3.survivors, *enum4.survivors,
-              *thin_imports.values()]
+              *thin_imports.values(), *double_coset_quotients]
     for h in corpus:
         val = series._valencies(h)
         for c in all_closed_subsets(h).masks:
