@@ -5,15 +5,21 @@
     order <n>
     cell <i> <j> : <k1> <k2> ...
 
-Exactly n^2 cell lines, 0-based indices, members strictly ascending.
-`#` starts a comment, blank lines are ignored.  Serialisation is
-canonical (header then cells in row-major order), so parse-serialise-
-parse is the identity on any ordering the parser accepts.
+Exactly n^2 cell lines, 0-based indices read with Python's `int()`,
+members strictly ascending.  `#` starts a comment, blank lines are
+ignored.  After the header the reader takes cells a batch of 512 raw lines
+at a time, each of the line loop's checks over the whole batch at once; a
+batch at fault writes nothing, and the line loop reads it again only to
+name its first error and line.  Serialisation is canonical (header then
+cells in row-major order), so parse-serialise-parse is the identity on
+any ordering the parser accepts.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, repeat
+from operator import add, ge, itemgetter, lshift, methodcaller, mul
 
 from hyperalg.core import MAX_ORDER, Hypergroup, bits, mask_of, validate
 
@@ -21,6 +27,9 @@ MAX_CHARS = 1 << 24  # longest text the CLI reads; canonical order-64 tables sta
 # 2^16 characters and on through the next line end of str.splitlines, or the
 # rest: the reader splits one chunk at a time, never holding every line at once.
 _CHUNK = re.compile("(?s).{65536}.*?(?:\r\n?|[\n\v\f\x1c-\x1e\x85\u2028\u2029])|.+")
+# A comment up to its line end: one space replaces it, so "\r#c\n" stays two line ends.
+_COMMENT = re.compile("#[^\r\n\v\f\x1c-\x1e\x85\u2028\u2029]*")
+_BATCH = 512  # raw lines per batch of the cell pass
 
 
 class FileFormatError(Exception):
@@ -52,13 +61,57 @@ _HEADER = (("hypergroup", "header `hypergroup v1`"), ("name", "`name <token>`"),
            ("order", "`order <n>`"))
 
 
+def _batches(text: str):
+    """(first line's number, raw lines) per run of _BATCH lines of a chunk, comments cut."""
+    start = 1
+    for chunk in _CHUNK.finditer(text):
+        raws = (_COMMENT.sub(" ", chunk[0]) if "#" in chunk[0] else chunk[0]).splitlines()
+        for at in range(0, len(raws), _BATCH):
+            yield start + at, raws[at:at + _BATCH]
+        start += len(raws)
+
+
+def _nonblank(start: int, raws: list[str]):
+    return ((n, line) for n, line in enumerate(raws, start) if line and not line.isspace())
+
+
+def _fill(flat: list[int], order: int, raws: list[str]) -> bool:
+    """Write a batch's cells into the row-major table and return True, or none and False."""
+    rows = [*map(methodcaller("split", None, order + 4), filter(str.strip, raws))]
+    if not rows:
+        return True
+    lengths = [*map(len, rows)]
+    if (min(lengths) < 4 or max(lengths) > order + 4
+            or [*map(itemgetter(0), rows)].count("cell") < len(rows)
+            or [*map(itemgetter(3), rows)].count(":") < len(rows)):
+        return False
+    try:
+        rs, cs = ([*map(int, map(itemgetter(at), rows))] for at in (1, 2))
+        ks = [*map(int, chain.from_iterable(map(itemgetter(slice(4, None)), rows)))]
+    except ValueError:
+        return False
+    if min(lengths) == max(lengths) == 5:  # one member per cell, as in a group table
+        masks = map(lshift, repeat(1), ks)
+    else:
+        members = [[*map(int, tokens[4:])] for tokens in rows]
+        if any(any(map(ge, m, m[1:])) for m in members if len(m) > 1):
+            return False
+        masks = map(mask_of, members)
+    cells = [*map(add, map(mul, rs, repeat(order)), cs)]
+    if (min(chain(rs, cs, ks)) < 0 or max(chain(rs, cs, ks)) >= order
+            or len(set(cells)) < len(cells) or max(map(flat.__getitem__, cells)) >= 0):
+        return False
+    for cell, mask in zip(cells, masks):
+        flat[cell] = mask
+    return True
+
+
 def read_table(text: str) -> tuple[str, int, list[list[int]]]:
     """Parse header and cells into (name, order, mask table), no validation."""
-    lines = ((lineno, line) for lineno, raw in enumerate(
-        (raw for chunk in _CHUNK.finditer(text) for raw in chunk[0].splitlines()), start=1)
-        if raw and (line := raw.partition("#")[0]) and not line.isspace())
+    batches = _batches(text)
+    lines = ((lineno, line, batch) for batch in batches for lineno, line in _nonblank(*batch))
     values = []
-    for (keyword, expected), (lineno, line) in zip(_HEADER, lines):
+    for (keyword, expected), (lineno, line, batch) in zip(_HEADER, lines):
         tokens = line.split(None, 2)
         if len(tokens) != 2 or tokens[0] != keyword or keyword == "hypergroup" and tokens[1] != "v1":
             raise FormatSyntaxError(f"expected {expected}", lineno)
@@ -73,34 +126,37 @@ def read_table(text: str) -> tuple[str, int, list[list[int]]]:
     if not 1 <= order <= MAX_ORDER:
         raise FormatSyntaxError(f"order must be in 1..{MAX_ORDER}, got {order}", lineno)
 
-    table = [[-1] * order for _ in range(order)]  # -1: not filled yet
-    for lineno, line in lines:
-        tokens = line.split(None, order + 4)  # a valid cell line has at most order + 4 tokens
-        if tokens[0] != "cell":
-            raise FormatSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
-        if len(tokens) < 4 or tokens[3] != ":":
-            raise FormatSyntaxError("expected `cell <i> <j> : <members...>`", lineno)
-        if len(tokens) > order + 4:
-            raise FormatSyntaxError(f"cell line lists more than {order} members", lineno)
-        try:
-            i, j = int(tokens[1]), int(tokens[2])
-            ks = list(map(int, tokens[4:]))
-        except ValueError:
-            raise FormatSyntaxError("cell indices must be integers", lineno) from None
-        if not (0 <= i < order and 0 <= j < order):
-            raise IndexOutOfRange(f"cell ({i},{j}) outside order {order}", lineno)
-        if any(not 0 <= k < order for k in ks):
-            raise IndexOutOfRange(f"cell ({i},{j}) lists a member outside 0..{order - 1}", lineno)
-        if any(a >= b for a, b in zip(ks, ks[1:])):
-            raise FormatSyntaxError("cell members must be strictly ascending", lineno)
-        if table[i][j] >= 0:
-            raise DuplicateCell(f"cell ({i},{j}) appears twice", lineno)
-        table[i][j] = mask_of(ks)
+    flat = [-1] * (order * order)  # row-major; -1: not filled yet
+    for start, raws in chain([(lineno + 1, batch[1][lineno + 1 - batch[0]:])], batches):
+        if _fill(flat, order, raws):
+            continue
+        for lineno, line in _nonblank(start, raws):  # the error path: name the first fault
+            tokens = line.split(None, order + 4)  # a valid cell line has at most order + 4 tokens
+            if tokens[0] != "cell":
+                raise FormatSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
+            if len(tokens) < 4 or tokens[3] != ":":
+                raise FormatSyntaxError("expected `cell <i> <j> : <members...>`", lineno)
+            if len(tokens) > order + 4:
+                raise FormatSyntaxError(f"cell line lists more than {order} members", lineno)
+            try:
+                i, j = int(tokens[1]), int(tokens[2])
+                ks = list(map(int, tokens[4:]))
+            except ValueError:
+                raise FormatSyntaxError("cell indices must be integers", lineno) from None
+            if not (0 <= i < order and 0 <= j < order):
+                raise IndexOutOfRange(f"cell ({i},{j}) outside order {order}", lineno)
+            if any(not 0 <= k < order for k in ks):
+                raise IndexOutOfRange(f"cell ({i},{j}) lists a member outside 0..{order - 1}", lineno)
+            if any(a >= b for a, b in zip(ks, ks[1:])):
+                raise FormatSyntaxError("cell members must be strictly ascending", lineno)
+            if flat[i * order + j] >= 0:
+                raise DuplicateCell(f"cell ({i},{j}) appears twice", lineno)
+            flat[i * order + j] = mask_of(ks)
 
-    missing = [(i, j) for i in range(order) for j in range(order) if table[i][j] < 0]
-    if missing:
+    if -1 in flat:
+        missing = [divmod(cell, order) for cell, mask in enumerate(flat) if mask < 0]
         raise MissingCell(f"cell {missing[0]} is missing ({len(missing)} missing in total)", None)
-    return name, order, table
+    return name, order, [flat[at:at + order] for at in range(0, order * order, order)]
 
 
 def parse(text: str) -> tuple[str, Hypergroup]:

@@ -25,8 +25,8 @@ from hyperalg.fileformat import (
     read_table,
     serialize,
 )
-from hyperalg import series
-from hyperalg.groups import from_group, symmetric
+from hyperalg import fileformat, series
+from hyperalg.groups import cyclic, direct_product, from_group, symmetric
 from hyperalg.harness import build_corpus, run_harness
 from hyperalg.report import analyze, render_machine
 from hyperalg.series import HOLDS, HYPOTHESIS_NOT_MET, VIOLATED, verify_statement
@@ -304,6 +304,91 @@ def test_reader_memory_is_bounded_by_the_text(shape, unit, error):
         tracemalloc.stop()
     assert str(err.value) == error
     assert peak < 5 * len(text), (shape, peak, len(text))
+
+
+def c2_5_lines():
+    table = [[0]]
+    for _ in range(5):
+        table = direct_product(table, cyclic(2))
+    return serialize(from_group(table), name="c2_5").splitlines()
+
+
+# One fault of each reader error, made from the cell line "cell i j : k" that it
+# replaces: (faulty line, class, message).
+CELL_FAULTS = [
+    ("row {i} {j} : {k}", FormatSyntaxError, "unknown directive 'row'"),
+    ("cell {i} {j} {k}", FormatSyntaxError, "expected `cell <i> <j> : <members...>`"),
+    ("cell {i} x : {k}", FormatSyntaxError, "cell indices must be integers"),
+    ("cell {i} 32 : {k}", IndexOutOfRange, "cell ({i},32) outside order 32"),
+    ("cell -1 {j} : {k}", IndexOutOfRange, "cell (-1,{j}) outside order 32"),
+    ("cell {i} {j} : 32", IndexOutOfRange, "cell ({i},{j}) lists a member outside 0..31"),
+    ("cell {i} {j} : -1", IndexOutOfRange, "cell ({i},{j}) lists a member outside 0..31"),
+    ("cell {i} {j} : 1 0", FormatSyntaxError, "cell members must be strictly ascending"),
+    ("cell {i} {j} : " + " ".join(map(str, range(32))) + " 0", FormatSyntaxError,
+     "cell line lists more than 32 members"),
+]
+
+
+@pytest.mark.parametrize("place", ["first cell line", "second batch", "last line",
+                                   "after a chunk boundary"])
+def test_reader_batches_keep_the_line_loops_first_error(place, monkeypatch):
+    """A fault of each kind planted in serialized C2^5 (cells on lines 4-1027,
+    raw lines read 512 at a time): the batch pass raises the class, message
+    and line that the line loop alone gives.  In the second batch, the first
+    batch is good and already written, so a re-read of it would raise
+    DuplicateCell on line 4 instead."""
+    lines = c2_5_lines()
+    if place == "after a chunk boundary":  # a comment line moves the cells past 2^16 characters
+        lines[3:3] = ["#" * 60_000]
+        text = "\n".join(lines) + "\n"
+        first_of_chunk = fileformat._CHUNK.match(text).end()
+        at = text.count("\n", 0, first_of_chunk)  # index of the chunk's first line
+        assert text[first_of_chunk - 1] == "\n" and 4 < at < len(lines) - 1
+    else:
+        at = {"first cell line": 3, "second batch": 699, "last line": 1026}[place]
+    cells = [line.split() for line in lines]
+    prev = at - 1 if place != "first cell line" else at + 1  # a duplicate of a neighbour
+    cases = [(fault.format(i=cells[at][1], j=cells[at][2], k=cells[at][4]), cls,
+              message.format(i=cells[at][1], j=cells[at][2]), at + 1)
+             for fault, cls, message in CELL_FAULTS]
+    cases.append((" ".join(cells[prev]), DuplicateCell,
+                  f"cell ({cells[prev][1]},{cells[prev][2]}) appears twice", max(at, prev) + 1))
+    for fault, cls, message, line in cases:
+        text = "\n".join(lines[:at] + [fault] + lines[at + 1:]) + "\n"
+        want = (cls, f"line {line}: {message}", line)
+        assert reader_outcome(text) == want, (place, fault)
+        with monkeypatch.context() as m:  # the line loop alone, on every batch
+            m.setattr(fileformat, "_fill", lambda flat, order, raws: False)
+            assert reader_outcome(text) == want, (place, fault)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@pytest.mark.parametrize("spelling", ["+1", "01", "non-ASCII digits", "tabs", "\\r\\n",
+                                      "comment after the members", "all at once"])
+def test_reader_accepts_the_int_spellings_of_the_line_loop(spelling, monkeypatch):
+    """Indices and members are read with Python's int(), so each spelling reads
+    to the table of the canonical text, in the batch pass and in the line loop."""
+    spell = {
+        "+1": lambda line: " ".join("+" + t if t.isdigit() else t for t in line.split()),
+        "01": lambda line: " ".join("0" + t if t.isdigit() else t for t in line.split()),
+        "non-ASCII digits": lambda line: line.translate(ARABIC_INDIC),
+        "tabs": lambda line: line.replace(" ", "\t"),
+        "\\r\\n": lambda line: line + "\r",
+        "comment after the members": lambda line: line + "  # a comment",
+    }
+    spell["all at once"] = lambda line: spell["\\r\\n"](spell["comment after the members"](
+        spell["tabs"](spell["non-ASCII digits"](spell["01"](spell["+1"](line))))))
+    for canonical in ("\n".join(c2_5_lines()) + "\n", NONTHIN_TEXT):
+        lines = canonical.splitlines()
+        text = "\n".join(lines[:3] + [spell[spelling](line) for line in lines[3:]]) + "\n"
+        assert text != canonical
+        want = read_table(canonical)
+        assert read_table(text) == want
+        with monkeypatch.context() as m:  # the line loop alone, on every batch
+            m.setattr(fileformat, "_fill", lambda flat, order, raws: False)
+            assert read_table(text) == want
 
 
 def test_enumerate_command(tmp_path, capsys):
