@@ -7,12 +7,12 @@
 
 Exactly n^2 cell lines, 0-based indices read with Python's `int()`,
 members strictly ascending.  `#` starts a comment, blank lines are
-ignored.  After the header the reader takes cells a batch of 512 raw lines
-at a time, each of the line loop's checks over the whole batch at once; a
-batch at fault writes nothing, and the line loop reads it again only to
-name its first error and line.  Serialisation is canonical (header then
-cells in row-major order), so parse-serialise-parse is the identity on
-any ordering the parser accepts.
+ignored.  After the header one checker takes cells a batch of 512 raw
+lines at a time, each check of a cell line over the whole batch at once.  A
+batch at fault writes nothing, and the same checker reads it again one line
+at a time, so the first line at fault raises with its own message and line.
+Serialisation is canonical (header then cells in row-major order), so
+parse-serialise-parse is the identity on any ordering the parser accepts.
 """
 
 from __future__ import annotations
@@ -75,35 +75,40 @@ def _nonblank(start: int, raws: list[str]):
     return ((n, line) for n, line in enumerate(raws, start) if line and not line.isspace())
 
 
-def _fill(flat: list[int], order: int, raws: list[str]) -> bool:
-    """Write a batch's cells into the row-major table and return True, or none and False."""
+def _fill(flat: list[int], order: int, raws: list[str], line: int) -> None:
+    """Write a batch's cells into the row-major table, or write none and raise the
+    first failing check, named by the batch's first row and `line`: exact for one line."""
     rows = [*map(methodcaller("split", None, order + 4), filter(str.strip, raws))]
     if not rows:
-        return True
+        return
     lengths = [*map(len, rows)]
-    if (min(lengths) < 4 or max(lengths) > order + 4
-            or [*map(itemgetter(0), rows)].count("cell") < len(rows)
-            or [*map(itemgetter(3), rows)].count(":") < len(rows)):
-        return False
+    if [*map(itemgetter(0), rows)].count("cell") < len(rows):
+        raise FormatSyntaxError(f"unknown directive {rows[0][0]!r}", line)
+    if min(lengths) < 4 or [*map(itemgetter(3), rows)].count(":") < len(rows):
+        raise FormatSyntaxError("expected `cell <i> <j> : <members...>`", line)
+    if max(lengths) > order + 4:  # a valid cell line has at most order + 4 tokens
+        raise FormatSyntaxError(f"cell line lists more than {order} members", line)
     try:
         rs, cs = ([*map(int, map(itemgetter(at), rows))] for at in (1, 2))
         ks = [*map(int, chain.from_iterable(map(itemgetter(slice(4, None)), rows)))]
     except ValueError:
-        return False
+        raise FormatSyntaxError("cell indices must be integers", line) from None
+    if min(chain(rs, cs)) < 0 or max(chain(rs, cs)) >= order:
+        raise IndexOutOfRange(f"cell ({rs[0]},{cs[0]}) outside order {order}", line)
+    if min(ks, default=0) < 0 or max(ks, default=0) >= order:
+        raise IndexOutOfRange(f"cell ({rs[0]},{cs[0]}) lists a member outside 0..{order - 1}", line)
     if min(lengths) == max(lengths) == 5:  # one member per cell, as in a group table
         masks = map(lshift, repeat(1), ks)
     else:
         members = [[*map(int, tokens[4:])] for tokens in rows]
         if any(any(map(ge, m, m[1:])) for m in members if len(m) > 1):
-            return False
+            raise FormatSyntaxError("cell members must be strictly ascending", line)
         masks = map(mask_of, members)
     cells = [*map(add, map(mul, rs, repeat(order)), cs)]
-    if (min(chain(rs, cs, ks)) < 0 or max(chain(rs, cs, ks)) >= order
-            or len(set(cells)) < len(cells) or max(map(flat.__getitem__, cells)) >= 0):
-        return False
+    if len(set(cells)) < len(cells) or max(map(flat.__getitem__, cells)) >= 0:
+        raise DuplicateCell(f"cell ({rs[0]},{cs[0]}) appears twice", line)
     for cell, mask in zip(cells, masks):
         flat[cell] = mask
-    return True
 
 
 def read_table(text: str) -> tuple[str, int, list[list[int]]]:
@@ -128,30 +133,11 @@ def read_table(text: str) -> tuple[str, int, list[list[int]]]:
 
     flat = [-1] * (order * order)  # row-major; -1: not filled yet
     for start, raws in chain([(lineno + 1, batch[1][lineno + 1 - batch[0]:])], batches):
-        if _fill(flat, order, raws):
-            continue
-        for lineno, line in _nonblank(start, raws):  # the error path: name the first fault
-            tokens = line.split(None, order + 4)  # a valid cell line has at most order + 4 tokens
-            if tokens[0] != "cell":
-                raise FormatSyntaxError(f"unknown directive {tokens[0]!r}", lineno)
-            if len(tokens) < 4 or tokens[3] != ":":
-                raise FormatSyntaxError("expected `cell <i> <j> : <members...>`", lineno)
-            if len(tokens) > order + 4:
-                raise FormatSyntaxError(f"cell line lists more than {order} members", lineno)
-            try:
-                i, j = int(tokens[1]), int(tokens[2])
-                ks = list(map(int, tokens[4:]))
-            except ValueError:
-                raise FormatSyntaxError("cell indices must be integers", lineno) from None
-            if not (0 <= i < order and 0 <= j < order):
-                raise IndexOutOfRange(f"cell ({i},{j}) outside order {order}", lineno)
-            if any(not 0 <= k < order for k in ks):
-                raise IndexOutOfRange(f"cell ({i},{j}) lists a member outside 0..{order - 1}", lineno)
-            if any(a >= b for a, b in zip(ks, ks[1:])):
-                raise FormatSyntaxError("cell members must be strictly ascending", lineno)
-            if flat[i * order + j] >= 0:
-                raise DuplicateCell(f"cell ({i},{j}) appears twice", lineno)
-            flat[i * order + j] = mask_of(ks)
+        try:
+            _fill(flat, order, raws, start)
+        except FileFormatError:  # the batch wrote nothing: its first line at fault raises
+            for lineno, raw in enumerate(raws, start):
+                _fill(flat, order, [raw], lineno)
 
     if -1 in flat:
         missing = [divmod(cell, order) for cell, mask in enumerate(flat) if mask < 0]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -334,8 +335,8 @@ CELL_FAULTS = [
 def test_reader_batches_keep_the_line_loops_first_error(place, monkeypatch):
     """A fault of each kind planted in serialized C2^5 (cells on lines 4-1027,
     raw lines read 512 at a time): the batch pass raises the class, message
-    and line that the line loop alone gives.  In the second batch, the first
-    batch is good and already written, so a re-read of it would raise
+    and line that reading one line at a time gives.  In the second batch, the
+    first batch is good and already written, so a re-read of it would raise
     DuplicateCell on line 4 instead."""
     lines = c2_5_lines()
     if place == "after a chunk boundary":  # a comment line moves the cells past 2^16 characters
@@ -357,8 +358,8 @@ def test_reader_batches_keep_the_line_loops_first_error(place, monkeypatch):
         text = "\n".join(lines[:at] + [fault] + lines[at + 1:]) + "\n"
         want = (cls, f"line {line}: {message}", line)
         assert reader_outcome(text) == want, (place, fault)
-        with monkeypatch.context() as m:  # the line loop alone, on every batch
-            m.setattr(fileformat, "_fill", lambda flat, order, raws: False)
+        with monkeypatch.context() as m:  # every line checked on its own
+            m.setattr(fileformat, "_BATCH", 1)
             assert reader_outcome(text) == want, (place, fault)
 
 
@@ -369,7 +370,7 @@ ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
                                       "comment after the members", "all at once"])
 def test_reader_accepts_the_int_spellings_of_the_line_loop(spelling, monkeypatch):
     """Indices and members are read with Python's int(), so each spelling reads
-    to the table of the canonical text, in the batch pass and in the line loop."""
+    to the table of the canonical text, in batches and one line at a time."""
     spell = {
         "+1": lambda line: " ".join("+" + t if t.isdigit() else t for t in line.split()),
         "01": lambda line: " ".join("0" + t if t.isdigit() else t for t in line.split()),
@@ -386,8 +387,8 @@ def test_reader_accepts_the_int_spellings_of_the_line_loop(spelling, monkeypatch
         assert text != canonical
         want = read_table(canonical)
         assert read_table(text) == want
-        with monkeypatch.context() as m:  # the line loop alone, on every batch
-            m.setattr(fileformat, "_fill", lambda flat, order, raws: False)
+        with monkeypatch.context() as m:  # every line checked on its own
+            m.setattr(fileformat, "_BATCH", 1)
             assert read_table(text) == want
 
 
@@ -602,7 +603,11 @@ def table_texts(draw):
 @settings(max_examples=150, deadline=None)
 @given(table_texts())
 def test_fuzz_read_table_and_parse(text):
-    """Any text either parses or raises a format or validation error."""
+    """Any text either parses or raises a format or validation error, and the
+    reader gives the same table, or the same error and line, one line at a time."""
+    with mock.patch.object(fileformat, "_BATCH", 1):
+        one_at_a_time = reader_outcome(text)
+    assert reader_outcome(text) == one_at_a_time
     try:
         name, order, table = read_table(text)
     except FileFormatError:
