@@ -16,7 +16,9 @@ where p* is the inverse partner derived from the table: the unique q
 with 1 in pq.  The left-identity row and the involutivity of * are
 consequences of H2/H3 and are checked, never trusted.  Each hypergroup
 packs its rows and columns once into 64-bit lanes; set products, vector
-products and the H1 check (slabs of a few middle elements) read them.
+products and the H1 check (slabs of a few middle elements) read them.  A
+table of singleton cells, all thin, takes H1 and H3 by byte translation
+instead: O(n) C calls, no Python step per cell.
 
 Valid hypergroups are interned by table: validating a table seen before
 returns the existing instance, so everything memoised on it (see
@@ -29,7 +31,7 @@ import weakref
 from array import array
 from dataclasses import dataclass, field
 from functools import partial, wraps
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
@@ -38,6 +40,7 @@ SLAB_LANES = 1 << 14  # lanes of one associativity slab: 128 KiB per side
 # Normalized cell tuple -> the validated instance, while anything holds it.
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _MISSING = object()
+_INDEX = {1 << x: x for x in range(MAX_ORDER)}  # singleton cell -> its member
 
 
 def memo(fn):
@@ -270,6 +273,20 @@ def _associativity_failures(h: Hypergroup) -> list[tuple[int, int, int]]:
     return sorted(failures)
 
 
+def _translations_hold(table: tuple[tuple[int, ...], ...], star: Sequence[int]) -> bool:
+    """H1 and H3 on singleton cells, row a as the bytes of a·x: ``flat`` translated
+    by row i is i(jk) at j·n + k, the rows named by row i joined are (ij)k there;
+    row i by row star(i) is star(i)(ij) over j and column j by column star(j)
+    is (ij)star(j) over i, which H3 makes j and i.  O(n) C calls per table."""
+    n = len(table)
+    rows = [bytes(map(_INDEX.__getitem__, row)) for row in table]
+    flat, pad, ident = b"".join(rows), bytes(256 - n), bytes(range(n))
+    cols = [flat[j::n] for j in range(n)]
+    return (all(flat.translate(r + pad) == b"".join(map(rows.__getitem__, r)) for r in rows)
+            and all(rows[i].translate(rows[s] + pad) == ident for i, s in enumerate(star))
+            and all(cols[j].translate(cols[s] + pad) == ident for j, s in enumerate(star)))
+
+
 def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[Iterable[int]]]) -> Hypergroup:
     """Check the hypergroup axioms on a raw table and build the value.
 
@@ -278,9 +295,11 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
     associativity, exchange) and the first failing check raises with its
     first witness plus the count of all violations of that check; for
     associativity that is the smallest failing (i, j, k), found a few
-    middle elements at a time (see :func:`_associativity_failures`).  A
-    table that passed before returns its interned instance without
-    re-checking; an invalid table is never stored, so it raises on every call.
+    middle elements at a time (see :func:`_associativity_failures`); thin
+    singleton cells pass H1 and H3 by :func:`_translations_hold`, and the
+    general checks then only name a failure.  A table that passed before
+    returns its interned instance unchecked; an invalid table is never
+    stored, so it raises on every call.
     """
     if not isinstance(order, int) or order < 1:
         raise ValueError("order must be a positive integer")
@@ -289,49 +308,55 @@ def validate(order: int, raw_table: Sequence[Sequence[int]] | Sequence[Sequence[
     if len(raw_table) != order or any(len(row) != order for row in raw_table):
         raise ValueError("table must be square of side `order`")
 
+    flat = [*chain.from_iterable(raw_table)]  # every check up to star runs over one flat tuple
+    if not (set(map(type, flat)) == {int} and min(flat) >= 0 and not max(flat) >> order):
+        flat = [_as_mask(c, order) for c in flat]
     shared: dict[int, int] = {}  # equal cells share one int: n per group table, not n²
-    table = tuple(tuple(map(shared.setdefault, row, row)) for row in (
-        row if set(map(type, row)) == {int} and min(row) >= 0 and not max(row) >> order
-        else [_as_mask(c, order) for c in row] for row in raw_table))
+    cells = tuple(map(shared.setdefault, flat, flat))
+    table = tuple(cells[p:p + order] for p in range(0, order * order, order))
     known = _INTERNED.get(table)
     if known is not None:
         return known
 
-    if any(0 in row for row in table):
-        empties = [(i, j) for i in range(order) for j in range(order) if table[i][j] == 0]
+    if 0 in cells:
+        empties = [divmod(p, order) for p, c in enumerate(cells) if c == 0]
         raise EmptyProduct(*empties[0], count=len(empties))
 
-    bad_id = [i for i in range(order) if table[i][0] != 1 << i]
+    bad_id = [i for i, c in enumerate(cells[::order]) if c != 1 << i]
     if bad_id:
         raise IdentityViolation(bad_id[0], count=len(bad_id))
 
-    # Per row i, the j with the identity in i·j; star(i) is the only one.
-    inverses = [[j for j in range(order) if table[i][j] & 1] for i in range(order)]
-    bad = [i for i in range(order) if len(inverses[i]) != 1]
-    if bad:
-        error = AmbiguousInverse if inverses[bad[0]] else NoInverse
-        raise error(bad[0], count=sum(bool(inverses[i]) == bool(inverses[bad[0]]) for i in bad))
-    star = [js[0] for js in inverses]
+    # Every i·n + j with the identity in i·j, in row order; star(i) is row i's only j.
+    ones = [*compress(range(order * order), map((1).__and__, cells))]
+    hit_rows = [p // order for p in ones]
+    if hit_rows != [*range(order)]:
+        bad = [i for i in range(order) if hit_rows.count(i) != 1]
+        error = AmbiguousInverse if bad[0] in hit_rows else NoInverse
+        raise error(bad[0], count=sum((i in hit_rows) == (bad[0] in hit_rows) for i in bad))
+    star = [p % order for p in ones]
 
     h = Hypergroup(order=order, table=table, star=tuple(star))
+    singleton = h.thin_part == h.full and shared.keys() <= _INDEX.keys()
+    if not (singleton and _translations_hold(table, star)):
+        assoc_bad = _associativity_failures(h)
+        if assoc_bad:
+            raise AssocViolation(*assoc_bad[0], count=len(assoc_bad))
 
-    assoc_bad = _associativity_failures(h)
-    if assoc_bad:
-        raise AssocViolation(*assoc_bad[0], count=len(assoc_bad))
-
-    cols = [*zip(*table)]  # k in i·j needs j in star(i)·k and i in k·star(j)
-    exch_bad = []
-    for i, row in enumerate(table):
-        row_si = table[star[i]]
-        for j, cell in enumerate(row):
-            col_sj = cols[star[j]]
-            while cell:
-                k = (cell & -cell).bit_length() - 1
-                if not row_si[k] >> j & 1 or not col_sj[k] >> i & 1:
-                    exch_bad.append((i, j, k))
-                cell &= cell - 1
-    if exch_bad:
-        raise ExchangeViolation(*exch_bad[0], count=len(exch_bad))
+        cols = [*zip(*table)]  # k in i·j needs j in star(i)·k and i in k·star(j)
+        exch_bad = []
+        for i, row in enumerate(table):
+            row_si = table[star[i]]
+            for j, cell in enumerate(row):
+                col_sj = cols[star[j]]
+                while cell:
+                    k = (cell & -cell).bit_length() - 1
+                    if not row_si[k] >> j & 1 or not col_sj[k] >> i & 1:
+                        exch_bad.append((i, j, k))
+                    cell &= cell - 1
+        if exch_bad:
+            raise ExchangeViolation(*exch_bad[0], count=len(exch_bad))
+        if singleton:
+            raise InternalMismatch("byte translation fails where H1 and H3 hold")
 
     # Consequences of the axioms; a failure here is a validator bug.
     if (star[0] != 0 or any(star[star[i]] != i for i in range(order))

@@ -18,12 +18,13 @@ from hyperalg.core import (
     ExchangeViolation,
     HypergroupError,
     IdentityViolation,
+    InternalMismatch,
     NoInverse,
     mask_of,
     members,
     validate,
 )
-from hyperalg.groups import cyclic, direct_product, from_group
+from hyperalg.groups import builtin_groups, cyclic, direct_product, from_group
 from hyperalg.quotient import build_quotient
 from hyperalg.report import analyze
 from naive_enumeration import branch_candidates
@@ -494,6 +495,102 @@ def test_assoc_fault_past_the_first_slab(order64):
     raw[35][39] |= 1 << 22
     got = check_against_oracle(64, raw)
     assert got == ("AssocViolation", (1, 35, 39), 250)
+
+
+def planted_faults(rng, table):
+    """Copies of a group table (masks, order >= 3), one fault each: a cell
+    set to another singleton, two rows swapped, two columns swapped, a cell
+    given a member other than the identity (the table stays thin but is
+    multi-valued) and a cell given the identity."""
+    n = len(table)
+    i, j = rng.randrange(1, n), rng.randrange(1, n)
+    x, y = rng.sample(range(1, n), 2)
+    cell, rows, extra, ident = ([list(row) for row in table] for _ in range(4))
+    cell[i][j] = 1 << (cell[i][j].bit_length() - 1 + x) % n
+    rows[x], rows[y] = rows[y], rows[x]
+    cols = [[row[y] if c == x else row[x] if c == y else row[c] for c in range(n)] for row in table]
+    extra[i][j] |= rng.choice([c for c in table[i] if c not in (1, table[i][j])])
+    ident[i][j if table[i][j] != 1 else j % (n - 1) + 1] |= 1
+    return {"cell": cell, "rows": rows, "cols": cols, "extra": extra, "ident": ident}
+
+
+def steiner_loop10():
+    """The Steiner loop of the affine plane over Z3: the identity and the
+    nine points of Z3², x·x = 1 and x·y the third point of the line through
+    x and y.  Singleton cells, all thin, and x(xy) = y = (yx)x, so the byte
+    form of H3 holds; but no group has order 10 and every element of order
+    2, so H1 fails, and only its byte comparison sees that on the route."""
+    points = [(a, b) for a in range(3) for b in range(3)]
+
+    def mul(x, y):
+        if x == 0 or y == 0:
+            return x + y
+        if x == y:
+            return 0
+        (a, b), (c, d) = points[x - 1], points[y - 1]
+        return points.index(((-a - c) % 3, (-b - d) % 3)) + 1
+
+    return [[1 << mul(x, y) for y in range(10)] for x in range(10)]
+
+
+def test_byte_route_names_what_the_general_checks_name(enum4):
+    """Seeded faults in the 22 bundled group tables, plus multi-valued
+    tables, give the same class, message and table with the byte route of
+    H1 and H3 on and with it off (`core._INDEX` emptied, so no cell counts
+    as a singleton).  A5
+    gets no column swap: about 14000 triples fail, and listing them takes
+    the general route over a second."""
+    rng = random.Random(20261022)
+    tables = [(2, NONTHIN2), (2, C2), (3, ASSOC_BAD3), (3, EXCH_BAD3), (10, steiner_loop10())]
+    tables += [(h.order, h.table) for h in enum4.survivors[::20]]
+    for _, group in builtin_groups(60):
+        masks = [[1 << v for v in row] for row in group]
+        tables.append((len(masks), masks))
+        for _ in range(2 if len(masks) > 2 else 0):
+            tables += [(len(masks), raw) for kind, raw in planted_faults(rng, masks).items()
+                       if kind != "cols" or len(masks) <= 12]
+    reached, verdicts, hold = Counter(), Counter(), core._translations_hold
+
+    def spy(table, star):
+        verdict = hold(table, star)
+        verdicts[verdict] += 1
+        return verdict
+
+    with mock.patch.object(core, "_translations_hold", spy):
+        for order, raw in tables:
+            got = fresh_result(order, raw)
+            with mock.patch.object(core, "_INDEX", {}):
+                assert fresh_result(order, raw) == got, raw
+            reached[got[0]] += 1
+    assert reached == {"valid": 45, "IdentityViolation": 42, "AmbiguousInverse": 48,
+                       "NoInverse": 10, "AssocViolation": 110, "ExchangeViolation": 1}
+    assert verdicts == {True: 23, False: 41}  # the 22 groups and C2; 41 faults refused
+
+
+def test_byte_route_disagreeing_with_general_checks_raises(thin_imports):
+    with mock.patch.multiple(core, _INTERNED=weakref.WeakValueDictionary(),
+                             _translations_hold=lambda table, star: False):
+        with pytest.raises(InternalMismatch, match="byte translation fails"):
+            validate(6, thin_imports["s3"].table)
+        assert validate(2, NONTHIN2).table == ((1, 2), (2, 3))  # not thin: never asked
+
+
+def test_group_tables_skip_the_general_h1_route(enum4):
+    """The 22 bundled groups and every (normal) quotient of C2^5 take H1 and
+    H3 by byte translation; non-thin tables take the slab route."""
+    tables = [(len(t), [[1 << v for v in row] for row in t]) for _, t in builtin_groups(60)]
+    c2_5 = from_group(elementary_abelian(5))
+    tables += [(q.order, q.table) for q in (build_quotient(c2_5, f).induced
+                                             for f in all_closed_subsets(c2_5).masks)]
+    assert len(tables) == 22 + 374
+    spy = mock.MagicMock(wraps=core._associativity_failures)
+    with mock.patch.multiple(core, _INTERNED=weakref.WeakValueDictionary(),
+                             _associativity_failures=spy):
+        kept = [validate(order, raw) for order, raw in tables]
+        assert spy.call_count == 0 and all(h.is_thin() for h in kept)
+        validate(2, NONTHIN2)
+        validate(4, next(h for h in enum4.survivors if not h.is_thin()).table)
+        assert spy.call_count == 2
 
 
 def test_vector_products_match_set_products(corpus, a5, order64):

@@ -9,7 +9,8 @@ hypergroup of order 2..4, then every bundled group up to order 60, a5
 included) was taken before `lem-cq` read its commutators from position
 tables, and pins them byte for byte; the SHA-256 of the text reports of
 the same corpus, the CLI's default rendering, was taken before the report
-record dropped its derived fields.
+record dropped its derived fields.  Five order-32/64 machine reports, two
+groups and three non-thin products, are pinned by SHA-256 the same way.
 """
 
 import hashlib
@@ -18,9 +19,11 @@ from pathlib import Path
 import pytest
 
 from hyperalg.cli import main
+from hyperalg.core import validate
 from hyperalg.groups import cyclic, dihedral, direct_product, from_group
 from hyperalg.harness import enumerated_entries, group_entries
 from hyperalg.report import analyze, render_machine, render_text
+from products import product_hypergroup
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -73,6 +76,33 @@ def test_order32_and_64_reports_match_digest(name, table, want):
     `lem-cq` dominates `analyze`; the digests were taken before `lem-cq`
     compared commutator rows instead of members."""
     text = render_machine(analyze(from_group(table), name=name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+T = validate(2, [[1, 2], [2, 3]])  # the order-2 hypergroup with 1·1 = {0, 1}
+
+
+def _power_of_t(n):
+    h = T
+    for _ in range(n - 1):
+        h = product_hypergroup(h, T)
+    return h
+
+
+@pytest.mark.parametrize("name, build, want", [
+    ("TxC2^5", lambda: product_hypergroup(T, from_group(_power_of_c2(cyclic(2), 4))),
+     "074c64d467a8cfb68b7dddca32965c38ff9f2f50cda7f06be3f29457e9c9732f"),
+    ("T^2xC2^4", lambda: product_hypergroup(_power_of_t(2), from_group(_power_of_c2(cyclic(2), 3))),
+     "06111f92c82b857c29afeddf88a14e4e827fabb6f992f12cd3e253f70ec422ff"),
+    ("T^6", lambda: _power_of_t(6),
+     "eb82432fa4b3311be924c24e3de3851a13eb6937f71193cc6250b24f817d1cca"),
+], ids=["TxC2^5", "T^2xC2^4", "T^6"])
+def test_nonthin_order64_reports_match_digest(name, build, want):
+    """Three non-thin products of order 64 (tests/products.py).  The first
+    two have group quotients and non-thin ones, so both routes of the
+    validator meet them; in T^6 every member has its own commutator vector.
+    The digests were taken before the validator read singleton cells as bytes."""
+    text = render_machine(analyze(build(), name=name))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
 
 
